@@ -3,7 +3,7 @@
 // system/workload configuration of its experiment (miniature scale) and
 // reports the experiment's headline metrics — virtual-time Mops and/or hit
 // rate — as custom metrics. The full tables/series are regenerated by
-// cmd/dittobench (see EXPERIMENTS.md).
+// cmd/dittobench (catalog: docs/BENCHMARKS.md).
 package ditto_test
 
 import (

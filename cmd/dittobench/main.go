@@ -11,7 +11,7 @@
 //	dittobench -all [-scale full]
 //
 // Output is plain text: the same rows/series each figure plots. See
-// EXPERIMENTS.md for measured-vs-paper comparisons.
+// docs/BENCHMARKS.md for the experiment catalog and the JSON schemas.
 package main
 
 import (

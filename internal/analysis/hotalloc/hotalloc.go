@@ -25,9 +25,8 @@
 // The hot functions are, syntactically:
 //
 //   - in ditto/internal/exec: methods on Runner, SerialRunner, and
-//     DoorbellRunner (the pooled run loops). The free functions
-//     Run/RunSerial/RunDoorbell stay unswept — they are the documented
-//     allocate-per-call form for tests and cold paths;
+//     DoorbellRunner (the pooled run loops); the package's free
+//     functions are not run loops and stay unswept;
 //   - in ditto/internal/core: methods on the plan types (receiver type
 //     name ending in "Plan") — Step, Absorb, reset, and the stage
 //     helpers they call through the receiver.

@@ -1,7 +1,7 @@
 // Fixture for the hotalloc analyzer, executor side: loaded by
 // RunFixture under the import path ditto/internal/exec, so methods on
-// Runner, SerialRunner, and DoorbellRunner are swept — and the free
-// functions (the documented allocate-per-call form) are not.
+// Runner, SerialRunner, and DoorbellRunner are swept — and free
+// functions (verb issue, helpers) are not.
 
 package exec
 
@@ -48,8 +48,8 @@ func (r *Runner) RunOne(p Plan) {
 	r.Serial.Run(p)
 }
 
-// RunSerial is the free allocate-per-call form: not swept.
-func RunSerial(p Plan) {
+// issueAll is a free function, not a run loop: not swept.
+func issueAll(p Plan) {
 	res := make([]Result, 4) // free function: no finding
 	_ = res
 }

@@ -30,9 +30,9 @@ func (g *guarded) verbUnderDeferredUnlock(addr uint64) []byte {
 	return g.ep.Read(addr, 8) // want `rdma\.Endpoint\.Read issued while holding mutex g\.mu`
 }
 
-func (g *guarded) execUnderRLock(plans []exec.Plan) {
+func (g *guarded) execUnderRLock(r *exec.Runner, plans []exec.Plan) {
 	g.rw.RLock()
-	exec.Run(exec.Serial, plans...) // want `exec\.Run issued while holding mutex g\.rw`
+	r.RunPlans(exec.Serial, plans) // want `exec\.Runner\.RunPlans issued while holding mutex g\.rw`
 	g.rw.RUnlock()
 }
 

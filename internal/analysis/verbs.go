@@ -53,9 +53,8 @@ func RDMAVerb(info *types.Info, call *ast.CallExpr) (string, bool) {
 }
 
 // BlockingVerbIssue reports whether call can block on verb traffic:
-// a direct rdma verb, or a plan-executor entry point — the free
-// functions (exec.Run, exec.RunSerial, exec.RunDoorbell) and the
-// pooled runners' methods (Runner.RunOne/RunPlans, SerialRunner.Run,
+// a direct rdma verb, or a plan-executor entry point — the runners'
+// methods (Runner.RunOne/RunPlans, SerialRunner.Run,
 // DoorbellRunner.Run) — which issue verbs on the caller's behalf.
 func BlockingVerbIssue(info *types.Info, call *ast.CallExpr) (string, bool) {
 	if name, ok := RDMAVerb(info, call); ok {
@@ -65,22 +64,19 @@ func BlockingVerbIssue(info *types.Info, call *ast.CallExpr) (string, bool) {
 	if fn == nil || FuncPkgPath(fn) != ExecPath {
 		return "", false
 	}
-	if recv := ReceiverNamed(fn); recv != nil {
-		switch recv.Obj().Name() {
-		case "Runner":
-			if fn.Name() == "RunOne" || fn.Name() == "RunPlans" {
-				return "exec.Runner." + fn.Name(), true
-			}
-		case "SerialRunner", "DoorbellRunner":
-			if fn.Name() == "Run" {
-				return "exec." + recv.Obj().Name() + ".Run", true
-			}
-		}
+	recv := ReceiverNamed(fn)
+	if recv == nil {
 		return "", false
 	}
-	switch fn.Name() {
-	case "Run", "RunSerial", "RunDoorbell":
-		return "exec." + fn.Name(), true
+	switch recv.Obj().Name() {
+	case "Runner":
+		if fn.Name() == "RunOne" || fn.Name() == "RunPlans" {
+			return "exec.Runner." + fn.Name(), true
+		}
+	case "SerialRunner", "DoorbellRunner":
+		if fn.Name() == "Run" {
+			return "exec." + recv.Obj().Name() + ".Run", true
+		}
 	}
 	return "", false
 }

@@ -1,9 +1,9 @@
 // Package bench is the evaluation harness: one runner per table/figure of
 // the paper, each printing the same rows/series the paper reports.
-// DESIGN.md §4 maps every experiment to its runner; EXPERIMENTS.md records
-// measured-vs-paper outcomes.
+// registry.go maps every experiment ID to its runner; docs/BENCHMARKS.md
+// catalogs them with the schema of every JSON artifact.
 //
-// Absolute numbers come from the calibrated fabric model (DESIGN.md §2);
+// Absolute numbers come from the calibrated fabric model (internal/rdma);
 // the reproduction target is the SHAPE: who wins, by what factor, where
 // crossovers fall. Timeline experiments compress the paper's minutes-long
 // phases into virtual milliseconds — the migration/elasticity behaviour is

@@ -149,7 +149,7 @@ func runChurn(objects, clients, opsEach int, background bool, strat exec.Strateg
 	// regime where moving eviction off the write path matters most.
 	opts.Experts = []string{"LRU", "LFU", "GDSF"}
 	cl := core.NewCluster(env, opts)
-	cl.ReclaimStrategy = strat
+	cl.Strategy = strat
 	if background {
 		cl.EnableBackgroundReclaim(0, 0)
 	}

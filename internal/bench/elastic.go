@@ -53,7 +53,7 @@ func ElasticReshard(w io.Writer, scale Scale) error {
 	for _, strat := range []exec.Strategy{exec.Serial, exec.Doorbell} {
 		env := sim.NewEnv(benchSeed(17))
 		mc := core.NewMultiCluster(env, 2, core.DefaultOptions(keys*2, keys*512))
-		mc.ReshardStrategy = strat
+		mc.SetStrategy(strat)
 		factory := func(p *sim.Proc) CacheOps { return mc.NewClient(p) }
 		RunLoad(env, factory, loadKeys(keys), 16)
 

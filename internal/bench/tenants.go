@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"ditto/internal/core"
-	"ditto/internal/exec"
 	"ditto/internal/sim"
 	"ditto/internal/stats"
 	"ditto/internal/workload"
@@ -117,7 +116,6 @@ func runTenants(objects, victimClients, noisyClients, opsEach int, noisy, quota 
 	capBytes := int64(objects) * 320
 	opts := core.DefaultOptions(objects, int(capBytes))
 	cl := core.NewCluster(env, opts)
-	cl.ReclaimStrategy = exec.Doorbell
 	cl.EnableBackgroundReclaim(0, 0)
 
 	const victimTenant, noisyTenant = core.TenantID(1), core.TenantID(2)

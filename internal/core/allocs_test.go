@@ -105,6 +105,65 @@ func TestAllocsPerOpSteadyState(t *testing.T) {
 		}
 	})
 	env.Run()
+
+	multiClientAllocs(t, false)
+	multiClientAllocs(t, true)
+}
+
+// multiClientAllocs holds the routed MultiClient paths (2 nodes, warm) to
+// ceilings pinned at the values measured before the single-key operations
+// became batches of one through the routed pipeline — the proof that the
+// collapse is free on the host clock. Get returns a fresh copy (one
+// allocation by design), MGet allocates its outputs, and the batched
+// writes allocate their per-owner sub-batches; with replication on, each
+// unreplicated write additionally registers its key (a map-key string).
+func multiClientAllocs(t *testing.T, replicate bool) {
+	env := sim.NewEnv(13)
+	mc := NewMultiCluster(env, 2, DefaultOptions(2000, 2000*320))
+	if replicate {
+		// A threshold no key reaches: the write paths run registered but
+		// unreplicated, which is what every non-hot key pays.
+		mc.EnableHotKeyReplication(1, 1<<40, 0)
+	}
+	env.Go("meter", func(p *sim.Proc) {
+		c := mc.NewClient(p)
+		const batch = 32
+		keys := make([][]byte, batch)
+		pairs := make([]KV, batch)
+		for i := 0; i < batch; i++ {
+			keys[i] = key(i)
+			pairs[i] = KV{Key: key(i), Value: value(i)}
+		}
+		for r := 0; r < 3; r++ {
+			c.MSet(pairs)
+			c.MGet(keys)
+			c.Set(keys[0], pairs[0].Value)
+			c.Get(keys[0])
+		}
+		gets := testing.AllocsPerRun(200, func() { c.Get(keys[0]) })
+		sets := testing.AllocsPerRun(200, func() { c.Set(keys[0], pairs[0].Value) })
+		mgets := testing.AllocsPerRun(50, func() { c.MGet(keys) })
+		msets := testing.AllocsPerRun(50, func() { c.MSet(pairs) })
+		t.Logf("MultiClient (replication=%v) allocs/op: get=%.1f set=%.1f mget(%d)=%.1f mset(%d)=%.1f",
+			replicate, gets, sets, batch, mgets, batch, msets)
+		maxSet, maxMSet := 0.0, 13.0
+		if replicate {
+			maxSet, maxMSet = 2, 78
+		}
+		if gets > 1 {
+			t.Errorf("MultiClient Get allocates %.1f objects/op, ceiling 1", gets)
+		}
+		if sets > maxSet {
+			t.Errorf("MultiClient Set allocates %.1f objects/op, ceiling %.0f", sets, maxSet)
+		}
+		if mgets > 52 {
+			t.Errorf("MultiClient MGet(%d) allocates %.1f objects/op, ceiling 52", batch, mgets)
+		}
+		if msets > maxMSet {
+			t.Errorf("MultiClient MSet(%d) allocates %.1f objects/op, ceiling %.0f", batch, msets, maxMSet)
+		}
+	})
+	env.Run()
 }
 
 // TestAllocsPerOpSteadyStateSpecGet holds the one-RTT speculative path

@@ -19,9 +19,26 @@ package core
 // re-runs the same plan through the serial drivers' bounded retry loops,
 // so batched and serial operations are observably equivalent.
 
+import "ditto/internal/exec"
+
 // KV is one key/value pair of an MSet batch.
 type KV struct {
 	Key, Value []byte
+}
+
+// The unexported forms (mget, mset, mdelete) are what MultiClient's routed
+// pipelines run per owning node: they address the batch through a list
+// of indices into the caller's own slices — so a per-node group needs no
+// gathered sub-batch and results land where the caller returns them —
+// and take the strategy, so a single-key operation is the same call as a
+// batch of one traversed under exec.Serial (the §4.1 verb budget).
+
+// allIdx returns the identity index list [0, n) from client scratch.
+func (c *Client) allIdx(n int) []int {
+	for i := len(c.idxAll); i < n; i++ {
+		c.idxAll = append(c.idxAll, i)
+	}
+	return c.idxAll[:n]
 }
 
 // ------------------------------------------------------------------ MGet ----
@@ -33,16 +50,23 @@ type KV struct {
 // cache enabled, hinted keys run specGetPlans instead: their speculative
 // object READs join the unhinted keys' bucket READs in the SAME first
 // doorbell, so an all-hinted all-valid batch costs exactly ONE doorbell.
-func (c *Client) MGet(keys [][]byte) ([][]byte, []bool) { return c.mget(keys, false) }
-
-// mget implements MGet; probe=true silences misses (no counters, no
-// regrets, no observer report), the batched counterpart of getProbe —
-// MultiClient's forwarding window probes with it.
-func (c *Client) mget(keys [][]byte, probe bool) ([][]byte, []bool) {
+func (c *Client) MGet(keys [][]byte) ([][]byte, []bool) {
 	vals := make([][]byte, len(keys))
 	oks := make([]bool, len(keys))
-	if len(keys) == 0 {
-		return vals, oks
+	c.mget(keys, c.allIdx(len(keys)), vals, oks, false, exec.Doorbell)
+	return vals, oks
+}
+
+// mget fetches keys[i] for every i in idxs into vals[i]/oks[i].
+// probe=true silences misses (no counters, no regrets, no observer
+// report), exactly as get's — MultiClient's forwarding window and
+// replica spreading probe with it.
+func (c *Client) mget(keys [][]byte, idxs []int, vals [][]byte, oks []bool, probe bool, strat exec.Strategy) {
+	if strat == exec.Serial {
+		for _, i := range idxs {
+			vals[i], oks[i] = c.get(keys[i], probe, nil)
+		}
+		return
 	}
 	start := c.p.Now()
 	// Pooled plans and run scratch. Under doorbell dedup one plan's READ
@@ -56,7 +80,7 @@ func (c *Client) mget(keys [][]byte, probe bool) ([][]byte, []bool) {
 	specIdx := c.specIdx[:0]
 	getIdx := c.getIdx[:0]
 	run := c.runOps[:0]
-	for i := range keys {
+	for _, i := range idxs {
 		if c.loc != nil {
 			if h, ok := c.loc.Lookup(keys[i]); ok {
 				sp := c.acquireSpecGetPlan(keys[i], h)
@@ -76,32 +100,16 @@ func (c *Client) mget(keys [][]byte, probe bool) ([][]byte, []bool) {
 	c.runner.Doorbell.Run(run)
 
 	for j, sp := range specs {
-		if !sp.ok {
-			continue
+		if sp.ok {
+			i := specIdx[j]
+			vals[i], oks[i] = c.finishSpecHit(start, sp, nil), true
 		}
-		i := specIdx[j]
-		c.Stats.SpecGetHits++
-		c.touchOnSpecHit(sp)
-		c.Stats.Gets++
-		c.Stats.Hits++
-		c.served.Inc()
-		vals[i] = append([]byte(nil), sp.dec.value...)
-		oks[i] = true
-		c.report(OpGet, start, true)
 	}
 	for j, pl := range plans {
-		if !pl.hit {
-			continue
+		if pl.hit {
+			i := getIdx[j]
+			vals[i], oks[i] = c.finishWalkHit(start, pl, nil), true
 		}
-		i := getIdx[j]
-		freq := c.touchOnHit(pl.slot, pl.dec, len(keys[i]))
-		c.noteLocation(keys[i], pl.slot, pl.dec, freq)
-		c.Stats.Gets++
-		c.Stats.Hits++
-		c.served.Inc()
-		vals[i] = append([]byte(nil), pl.dec.value...)
-		oks[i] = true
-		c.report(OpGet, start, true)
 	}
 	for j, sp := range specs {
 		if sp.ok {
@@ -112,35 +120,22 @@ func (c *Client) mget(keys [][]byte, probe bool) ([][]byte, []bool) {
 		// applies the exact hit/miss/probe semantics (and re-records a
 		// fresh hint on a hit).
 		i := specIdx[j]
-		c.Stats.SpecGetFallbacks++
-		c.loc.Drop(keys[i])
+		c.dropHint(keys[i])
 		vals[i], oks[i] = c.get(keys[i], probe, nil)
 	}
 	for j, pl := range plans {
 		if pl.hit {
 			continue
 		}
-		i := getIdx[j]
 		if pl.stale {
 			// Rare: the snapshot raced a concurrent update. Re-run the key
 			// through the serial driver, which retries bounded re-reads
 			// exactly as a lone Get would.
+			i := getIdx[j]
 			vals[i], oks[i] = c.get(keys[i], probe, nil)
-			continue
+		} else if !probe {
+			c.finishMiss(start, pl)
 		}
-		if probe {
-			continue
-		}
-		c.Stats.Gets++
-		c.Stats.Misses++
-		c.served.Inc()
-		if c.adapt != nil {
-			c.collectRegrets(pl.histMatches)
-			if c.cl.opts.DisableLWH {
-				c.probeConventionalIndex()
-			}
-		}
-		c.report(OpGet, start, false)
 	}
 	for _, pl := range plans {
 		c.releaseGetPlan(pl)
@@ -148,7 +143,6 @@ func (c *Client) mget(keys [][]byte, probe bool) ([][]byte, []bool) {
 	for _, sp := range specs {
 		c.releaseSpecGetPlan(sp)
 	}
-	return vals, oks
 }
 
 // ------------------------------------------------------------------ MSet ----
@@ -161,19 +155,28 @@ func (c *Client) mget(keys [][]byte, probe bool) ([][]byte, []bool) {
 // pair whose CAS loses a race or whose buckets are full falls back to the
 // serial Set retry loop, so batched and serial stores behave identically
 // under contention.
-func (c *Client) MSet(pairs []KV) {
-	if len(pairs) == 0 {
+func (c *Client) MSet(pairs []KV) { c.mset(pairs, c.allIdx(len(pairs)), exec.Doorbell) }
+
+// mset stores pairs[i] for every i in idxs.
+func (c *Client) mset(pairs []KV, idxs []int, strat exec.Strategy) {
+	if strat == exec.Serial {
+		for _, i := range idxs {
+			c.Set(pairs[i].Key, pairs[i].Value)
+		}
+		return
+	}
+	if len(idxs) == 0 {
 		return
 	}
 	start := c.p.Now()
-	// Same over-budget drain budget a sequence of len(pairs) Sets would
+	// Same over-budget drain budget a sequence of len(idxs) Sets would
 	// have, so batched writes shrink an over-budget heap at the same rate
 	// as sequential ones — and, like them, as multi-victim doorbell
 	// rounds when the deficit spans more than one block.
-	c.drainOverBudget(shrinkEvictBatch * len(pairs))
+	c.drainOverBudget(shrinkEvictBatch * len(idxs))
 	plans := c.setPlans[:0]
 	run := c.runOps[:0]
-	for i := range pairs {
+	for _, i := range idxs {
 		pl := c.acquireSetPlan(pairs[i].Key, pairs[i].Value)
 		plans = append(plans, pl)
 		run = append(run, pl)
@@ -182,7 +185,7 @@ func (c *Client) MSet(pairs []KV) {
 	c.runner.Doorbell.Run(run)
 
 	var fallback []int
-	for i, pl := range plans {
+	for j, pl := range plans {
 		switch pl.outcome {
 		case setDone:
 			c.noteSetLocation(pl)
@@ -192,9 +195,9 @@ func (c *Client) MSet(pairs []KV) {
 			// Lost the slot to a concurrent writer, an eviction, or an
 			// earlier pair of this very batch: retry serially.
 			c.Stats.SetRetries++
-			fallback = append(fallback, i)
+			fallback = append(fallback, idxs[j])
 		case setNoFree:
-			fallback = append(fallback, i)
+			fallback = append(fallback, idxs[j])
 		}
 	}
 	// Release before the serial retries: the fallbacks re-run their keys
@@ -216,12 +219,25 @@ func (c *Client) MSet(pairs []KV) {
 // calls would have returned.
 func (c *Client) MDelete(keys [][]byte) []bool {
 	out := make([]bool, len(keys))
-	if len(keys) == 0 {
-		return out
+	c.mdelete(keys, c.allIdx(len(keys)), out, exec.Doorbell)
+	return out
+}
+
+// mdelete removes keys[i] for every i in idxs, setting out[i] when a
+// copy was deleted (and leaving it alone otherwise, so a caller clearing
+// several nodes accumulates "any copy deleted").
+func (c *Client) mdelete(keys [][]byte, idxs []int, out []bool, strat exec.Strategy) {
+	if strat == exec.Serial {
+		for _, i := range idxs {
+			if c.Delete(keys[i]) {
+				out[i] = true
+			}
+		}
+		return
 	}
 	plans := c.delPlans[:0]
 	run := c.runOps[:0]
-	for i := range keys {
+	for _, i := range idxs {
 		if c.loc != nil {
 			c.loc.Drop(keys[i])
 		}
@@ -231,10 +247,11 @@ func (c *Client) MDelete(keys [][]byte) []bool {
 	}
 	c.delPlans, c.runOps = plans, run
 	c.runner.Doorbell.Run(run)
-	for i, pl := range plans {
+	for j, pl := range plans {
 		c.Stats.Deletes++
-		out[i] = pl.deleted
+		if pl.deleted {
+			out[idxs[j]] = true
+		}
 		c.releaseDelPlan(pl)
 	}
-	return out
 }

@@ -156,6 +156,7 @@ type Client struct {
 	runEv     []exec.Plan
 	specIdx   []int // key index each in-flight spec plan serves (mget)
 	getIdx    []int // key index each in-flight get plan serves (mget)
+	idxAll    []int // the identity index list [0, n) (allIdx)
 
 	// Location cache behind one-RTT speculative Gets (nil unless
 	// Options.LocCacheSlots > 0; see internal/loccache). verBase/verSeq
@@ -282,16 +283,15 @@ func (c *Client) Get(key []byte) ([]byte, bool) { return c.get(key, false, nil) 
 // across operations.
 func (c *Client) GetAppend(dst, key []byte) ([]byte, bool) { return c.get(key, false, dst) }
 
-// getProbe is a Get whose miss is silent: no counters, no regret
-// collection, no observer report. MultiClient's forwarding window probes
-// with it so a key sitting on its old owner does not record a phantom
-// miss (and adaptive penalties) on the new owner for every forwarded
-// hit. A probe that hits counts as a normal Get.
-func (c *Client) getProbe(key []byte) ([]byte, bool) { return c.get(key, true, nil) }
-
 // get runs the plan and, on a hit, appends the value to dst. The copy
 // happens before the plan is released: pl.dec.value is a view into the
 // plan's pooled object buffer.
+//
+// probe=true makes a miss silent: no counters, no regret collection, no
+// observer report. MultiClient's forwarding window probes this way so a
+// key sitting on its old owner does not record a phantom miss (and
+// adaptive penalties) on the new owner for every forwarded hit. A probe
+// that hits counts as a normal Get.
 //
 // With a location cache enabled, a hinted key first tries the one-RTT
 // speculative path: one READ of the hinted block, validated in place by
@@ -307,18 +307,11 @@ func (c *Client) get(key []byte, probe bool, dst []byte) ([]byte, bool) {
 			spl := c.acquireSpecGetPlan(key, h)
 			c.runner.Serial.Run(spl)
 			if spl.ok {
-				c.Stats.SpecGetHits++
-				c.touchOnSpecHit(spl)
-				c.Stats.Gets++
-				c.Stats.Hits++
-				c.served.Inc()
-				val := append(dst, spl.dec.value...)
+				val := c.finishSpecHit(start, spl, dst)
 				c.releaseSpecGetPlan(spl)
-				c.report(OpGet, start, true)
 				return val, true
 			}
-			c.Stats.SpecGetFallbacks++
-			c.loc.Drop(key)
+			c.dropHint(key)
 			c.releaseSpecGetPlan(spl)
 		}
 	}
@@ -331,39 +324,81 @@ func (c *Client) get(key []byte, probe bool, dst []byte) ([]byte, bool) {
 		}
 		c.runner.Serial.Run(pl)
 		if pl.hit {
-			freq := c.touchOnHit(pl.slot, pl.dec, len(key))
-			c.noteLocation(key, pl.slot, pl.dec, freq)
-			c.Stats.Gets++
-			c.Stats.Hits++
-			c.served.Inc()
-			val := append(dst, pl.dec.value...)
+			val := c.finishWalkHit(start, pl, dst)
 			c.releaseGetPlan(pl)
-			c.report(OpGet, start, true)
 			return val, true
 		}
 		if !pl.stale {
 			break // a clean miss; stale snapshots retry (bounded)
 		}
 	}
-
-	if probe {
-		c.releaseGetPlan(pl)
-		return dst, false
-	}
-	c.Stats.Gets++
-	c.Stats.Misses++
-	c.served.Inc()
-	if c.adapt != nil {
-		c.collectRegrets(pl.histMatches)
-		if c.cl.opts.DisableLWH {
-			// Conventional design: a separate remote hash index over the
-			// history must be probed on every miss.
-			c.probeConventionalIndex()
-		}
+	if !probe {
+		c.finishMiss(start, pl)
 	}
 	c.releaseGetPlan(pl)
-	c.report(OpGet, start, false)
 	return dst, false
+}
+
+// finishHit is THE completion of a Get hit, shared by the serial and
+// batched drivers and by both ways of finding the object: the framework's
+// metadata maintenance (§4.1, off the critical path) — the stateless
+// last_ts with one asynchronous RDMA_WRITE, any expert extension
+// metadata with one more asynchronous RDMA_WRITE to the object — then the
+// location-cache hint, the hot-key promotion hook, the counters and the
+// observer report. It returns dst extended by the value — copied here
+// because dec views the buffer of a pooled plan the caller is about to
+// release.
+//
+// h carries the slot-metadata view the maintenance works from: a bucket
+// walk builds it from the slot it just read (finishWalkHit), a
+// speculative hit passes the hint that found the object (finishSpecHit)
+// — the whole point of which is not to have a fresh slot. Either caller
+// has already buffered this hit's +1 in the FC cache (the stateful freq
+// travels as combined RDMA_FAAs) and folded it into h.Freq.
+func (c *Client) finishHit(start int64, key []byte, dec decodedObject, h *loccache.Hint, dst []byte) []byte {
+	now := c.p.Now()
+	c.ht.TouchLastTs(h.SlotAddr, now)
+	if c.cl.opts.DisableSFHT {
+		// Metadata scattered with the object: stateless fields cannot be
+		// grouped into a single WRITE. meta8 is reusable because the
+		// async WRITE applies before returning.
+		c.metaWriteAsync(h.Addr, c.meta8[:])
+	}
+	if len(dec.ext) > 0 {
+		meta := &c.extMeta
+		*meta = cachealgo.Metadata{
+			Size:     h.Len,
+			InsertTs: h.InsertTs,
+			LastTs:   h.LastTs,
+			Freq:     h.Freq,
+		}
+		for i, a := range c.experts {
+			n := a.ExtSize()
+			if n == 0 {
+				continue
+			}
+			meta.Ext = dec.ext[c.extOff[i] : c.extOff[i]+n]
+			a.UpdateExt(meta, now)
+		}
+		c.metaWriteAsync(h.Addr+objHeader, dec.ext)
+	}
+	// Record (or refresh) the hint on EVERY hit — main bucket, overflow
+	// or speculative — so repeat reads reach one RTT. Pre-stamp images
+	// (ver 0: impossible in-sim but cheap to guard) are never hinted;
+	// ver 0 is the cleared/freed marker.
+	if c.loc != nil && h.Ver != 0 {
+		h.LastTs = now
+		c.loc.Record(key, *h)
+	}
+	if c.onHit != nil {
+		c.onHit(dec.key, dec.tenant, h.Freq)
+	}
+	c.Stats.Gets++
+	c.Stats.Hits++
+	c.served.Inc()
+	val := append(dst, dec.value...)
+	c.report(OpGet, start, true)
+	return val
 }
 
 // noteHit buffers this hit's +1 in the FC cache and returns the key's
@@ -379,113 +414,62 @@ func (c *Client) noteHit(s hashtable.Slot, keyLen int) uint64 {
 	return freq
 }
 
-// touchOnHit applies the framework's metadata maintenance after a hit:
-// the stateful freq through the FC cache (combined RDMA_FAA), the
-// stateless last_ts with one asynchronous RDMA_WRITE, and any expert
-// extension metadata with one more asynchronous RDMA_WRITE to the object.
-// It returns the hit's logical frequency (noteHit's convention) so the
-// caller can seed a location-cache hint without recomputing it.
-func (c *Client) touchOnHit(s hashtable.Slot, dec decodedObject, keyLen int) uint64 {
-	now := c.p.Now()
-	freq := c.noteHit(s, keyLen)
-	c.ht.TouchLastTs(s.Addr, now)
-	if c.cl.opts.DisableSFHT {
-		// Metadata scattered with the object: stateless fields cannot be
-		// grouped into a single WRITE. meta8 is reusable because the
-		// async WRITE applies before returning.
-		c.metaWriteAsync(s.Atomic.Pointer(), c.meta8[:])
+// finishWalkHit completes a full bucket-walk hit: the slot's published
+// pointer and size class, the image's incarnation stamp and the slot's
+// metadata snapshot become the view finishHit maintains metadata from
+// (and records as the key's hint).
+func (c *Client) finishWalkHit(start int64, pl *getPlan, dst []byte) []byte {
+	s := pl.slot
+	h := loccache.Hint{
+		Addr:     s.Atomic.Pointer(),
+		Len:      s.Atomic.SizeBytes(),
+		Ver:      pl.dec.ver,
+		Tenant:   uint8(pl.dec.tenant),
+		SlotAddr: s.Addr,
+		InsertTs: s.InsertTs,
+		LastTs:   s.LastTs,
+		Freq:     c.noteHit(s, len(pl.key)),
 	}
-	if len(dec.ext) > 0 {
-		meta := &c.extMeta
-		*meta = cachealgo.Metadata{
-			Size:     s.Atomic.SizeBytes(),
-			InsertTs: s.InsertTs,
-			LastTs:   s.LastTs,
-			Freq:     freq,
-		}
-		for i, a := range c.experts {
-			n := a.ExtSize()
-			if n == 0 {
-				continue
-			}
-			meta.Ext = dec.ext[c.extOff[i] : c.extOff[i]+n]
-			a.UpdateExt(meta, now)
-		}
-		c.metaWriteAsync(s.Atomic.Pointer()+objHeader, dec.ext)
-	}
-	if c.onHit != nil {
-		c.onHit(dec.key, dec.tenant, freq)
-	}
-	return freq
+	return c.finishHit(start, pl.key, pl.dec, &h, dst)
 }
 
-// touchOnSpecHit is touchOnHit for a validated speculative hit: the same
-// maintenance — FC-cache freq buffering, async last_ts touch, expert
-// extension updates, the hot-key promotion hook — driven from the hint's
-// slot-metadata snapshot instead of a fresh bucket READ (the whole point
-// is not to have one). The frequency convention is hint.Freq + 1: the
+// finishSpecHit completes a validated speculative hit from the hint's
+// slot-metadata snapshot. The frequency convention is hint.Freq + 1: the
 // hint's Freq already folded the pending FC delta when it was recorded
 // off a full bucket walk, so re-adding PendingDelta here would double
 // count; between full walks the estimate is blind to other clients'
 // accesses, the same fidelity class as the FC cache itself. The
 // refreshed hint keeps Addr/Ver — a validated hit proves them current.
-func (c *Client) touchOnSpecHit(sp *specGetPlan) {
-	now := c.p.Now()
-	h := &sp.hint
-	freq := h.Freq + 1
-	c.fc.Add(h.SlotAddr, len(sp.key))
-	c.ht.TouchLastTs(h.SlotAddr, now)
-	if c.cl.opts.DisableSFHT {
-		c.metaWriteAsync(h.Addr, c.meta8[:])
-	}
-	if len(sp.dec.ext) > 0 {
-		meta := &c.extMeta
-		*meta = cachealgo.Metadata{
-			Size:     h.Len,
-			InsertTs: h.InsertTs,
-			LastTs:   h.LastTs,
-			Freq:     freq,
-		}
-		for i, a := range c.experts {
-			n := a.ExtSize()
-			if n == 0 {
-				continue
-			}
-			meta.Ext = sp.dec.ext[c.extOff[i] : c.extOff[i]+n]
-			a.UpdateExt(meta, now)
-		}
-		c.metaWriteAsync(h.Addr+objHeader, sp.dec.ext)
-	}
-	h.Freq = freq
-	h.LastTs = now
-	c.loc.Record(sp.key, *h)
-	if c.onHit != nil {
-		c.onHit(sp.dec.key, sp.dec.tenant, freq)
-	}
+func (c *Client) finishSpecHit(start int64, sp *specGetPlan, dst []byte) []byte {
+	c.Stats.SpecGetHits++
+	sp.hint.Freq++
+	c.fc.Add(sp.hint.SlotAddr, len(sp.key))
+	return c.finishHit(start, sp.key, sp.dec, &sp.hint, dst)
 }
 
-// noteLocation records (or refreshes) key's location-cache hint off a
-// full bucket-walk hit: the slot's published pointer and size class, the
-// image's incarnation stamp, and the slot-metadata snapshot a future
-// speculative hit maintains metadata from. Hints are recorded on EVERY
-// full-plan hit — main bucket or overflow — so repeat reads of
-// overflowed keys reach one RTT too. Pre-stamp images (ver 0: written
-// by a binary predating the stamp, impossible in-sim but cheap to
-// guard) are never hinted; ver 0 is the cleared/freed marker.
-func (c *Client) noteLocation(key []byte, s hashtable.Slot, dec decodedObject, freq uint64) {
-	if c.loc == nil || dec.ver == 0 {
-		return
+// dropHint retires a hint whose speculative image failed validation
+// (block reused, freed, lease lapsed, …); the caller falls back to the
+// ordinary bucket walk, whose hit re-records a fresh one.
+func (c *Client) dropHint(key []byte) {
+	c.Stats.SpecGetFallbacks++
+	c.loc.Drop(key)
+}
+
+// finishMiss is THE completion of a counted Get miss: counters, regret
+// collection off the plan's history matches, the observer report.
+func (c *Client) finishMiss(start int64, pl *getPlan) {
+	c.Stats.Gets++
+	c.Stats.Misses++
+	c.served.Inc()
+	if c.adapt != nil {
+		c.collectRegrets(pl.histMatches)
+		if c.cl.opts.DisableLWH {
+			// Conventional design: a separate remote hash index over the
+			// history must be probed on every miss.
+			c.probeConventionalIndex()
+		}
 	}
-	c.loc.Record(key, loccache.Hint{
-		Addr:     s.Atomic.Pointer(),
-		Len:      s.Atomic.SizeBytes(),
-		Ver:      dec.ver,
-		Tenant:   uint8(dec.tenant),
-		SlotAddr: s.Addr,
-		InsertTs: s.InsertTs,
-		LastTs:   c.p.Now(),
-		Freq:     freq,
-	})
+	c.report(OpGet, start, false)
 }
 
 // noteSetLocation records the hint for a setDone outcome: the writer
@@ -583,9 +567,9 @@ func (c *Client) Set(key, value []byte) {
 			// Both buckets full of live objects and valid history entries:
 			// evict the lowest-priority live object from the key's buckets
 			// directly (slot reclaimed immediately; no history entry for
-			// this corner case — see DESIGN.md §6). If the buckets hold no
-			// live object at all (all history), sacrifice the oldest
-			// history entry. Then retry with a freed slot.
+			// this corner case — bucketEvict in evict.go). If the buckets
+			// hold no live object at all (all history), sacrifice the
+			// oldest history entry. Then retry with a freed slot.
 			// pl.scanned views the plan's pooled slot scratch — consumed
 			// before the release.
 			if !c.bucketEvict(pl.scanned) {

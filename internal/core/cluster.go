@@ -125,14 +125,16 @@ type Cluster struct {
 	// only client-local state; read it through ServedReads().
 	servedReads stats.ShardedCounter
 
-	// ReclaimStrategy selects how multi-victim eviction batches execute —
-	// the background reclaimer's rounds and the write paths' over-budget
-	// drains: exec.Doorbell (the default) samples several windows and
-	// CASes several victims per doorbell round; exec.Serial issues one
-	// verb per round trip, the paper-faithful per-key chain. Results are
-	// identical (pinned by the eviction equivalence test); single
-	// evictions on the write path always run serially.
-	ReclaimStrategy exec.Strategy
+	// Strategy is THE execution-strategy setting: how this node's
+	// multi-plan batches run — the background reclaimer's rounds and the
+	// write paths' over-budget drains. exec.Doorbell (the default) samples
+	// several windows and CASes several victims per doorbell round;
+	// exec.Serial issues one verb per round trip, the paper-faithful
+	// per-key chain the tests and bench comparison rows use as reference.
+	// Results are identical (pinned by the eviction equivalence test);
+	// single evictions on the write path always run serially. Read at use
+	// time; a MultiCluster sets it on every node (SetStrategy).
+	Strategy exec.Strategy
 
 	reclaimEnabled bool
 	reclaimKick    *sim.Cond
@@ -143,13 +145,6 @@ type Cluster struct {
 	// injection); dead marks a fail-stopped node (Crash).
 	reclaimRestarts int64
 	dead            bool
-
-	// reclaimStratFn, when non-nil, overrides ReclaimStrategy at use
-	// time. MultiCluster installs it on every node so a pool-level
-	// MultiCluster.ReclaimStrategy assignment takes effect like its
-	// ReshardStrategy/ReplicaStrategy siblings — read when batches run,
-	// not copied at construction.
-	reclaimStratFn func() exec.Strategy
 
 	// avgVictimBlocks is a running estimate of the eviction victim size
 	// (in blocks), used to size multi-victim reclaim rounds so a drain
@@ -241,12 +236,12 @@ func NewCluster(env *sim.Env, opts Options) *Cluster {
 	mn.SetHeapLimit(opts.CacheBytes)
 
 	cl := &Cluster{
-		Env:             env,
-		MN:              mn,
-		Layout:          hashtable.Layout{Config: tblCfg, Base: base},
-		opts:            opts,
-		ReclaimStrategy: exec.Doorbell,
-		tenantUsage:     stats.NewTenantCounter(MaxTenants),
+		Env:         env,
+		MN:          mn,
+		Layout:      hashtable.Layout{Config: tblCfg, Base: base},
+		opts:        opts,
+		Strategy:    exec.Doorbell,
+		tenantUsage: stats.NewTenantCounter(MaxTenants),
 	}
 
 	cl.histSize = opts.HistorySize
@@ -316,7 +311,7 @@ const reclaimBatchMax = 16
 // EnableBackgroundReclaim starts this cluster's proactive reclaimer: a
 // background sim process that watches the allocator's free-space
 // watermarks (memnode.SetWatermarks) and runs batched eviction plans
-// under ReclaimStrategy AHEAD of demand — it wakes when free space dips
+// under Strategy AHEAD of demand — it wakes when free space dips
 // below the low watermark and reclaims until it is back above the high
 // one, surrendering the freed blocks to the controller pool where any
 // client's allocator can fetch them. Client writes then stall on
@@ -384,7 +379,7 @@ func (cl *Cluster) spawnReclaimer() {
 				if n > reclaimBatchMax {
 					n = reclaimBatchMax
 				}
-				got := rc.evictBatch(n, cl.reclaimStrategy())
+				got := rc.evictBatch(n, cl.Strategy)
 				// Freed blocks land on the reclaimer's own lists; surrender
 				// them immediately so stalled writers can fetch them from
 				// the controller pool.
@@ -428,16 +423,6 @@ func (cl *Cluster) ReclaimerStats() Stats {
 		return Stats{}
 	}
 	return cl.reclaimer.Stats
-}
-
-// reclaimStrategy resolves the strategy eviction batches run under:
-// the pool-level override when this cluster belongs to a MultiCluster,
-// else the cluster's own field.
-func (cl *Cluster) reclaimStrategy() exec.Strategy {
-	if cl.reclaimStratFn != nil {
-		return cl.reclaimStratFn()
-	}
-	return cl.ReclaimStrategy
 }
 
 // kickReclaimer wakes the background reclaimer unconditionally (no-op

@@ -36,7 +36,7 @@ func TestEvictionRacingLiveReshard(t *testing.T) {
 		t.Run(strat.String(), func(t *testing.T) {
 			env := sim.NewEnv(31)
 			mc := NewMultiCluster(env, 2, DefaultOptions(3000, 3000*320))
-			mc.ReclaimStrategy = strat
+			mc.SetStrategy(strat)
 			mc.EnableBackgroundReclaim(0, 0)
 			model := make(map[string][]byte)
 			deleted := make(map[string]bool)
@@ -136,7 +136,7 @@ func TestEvictedHotKeyDemotes(t *testing.T) {
 			}
 		}
 		pl := pc.newGetPlan(K)
-		exec.RunSerial(pl)
+		m.runner.Serial.Run(pl)
 		if pl.hit {
 			t.Fatal("primary copy survived forced eviction")
 		}
@@ -157,7 +157,7 @@ func TestEvictedHotKeyDemotes(t *testing.T) {
 		}
 		for _, id := range e.Replicas {
 			rpl := m.clientFor(id).newGetPlan(K)
-			exec.RunSerial(rpl)
+			m.runner.Serial.Run(rpl)
 			if rpl.hit {
 				t.Errorf("replica copy on node %d survived the demotion", id)
 			}

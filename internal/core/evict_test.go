@@ -57,7 +57,7 @@ func testEvictStrategiesEquivalent(t *testing.T, experts []string) {
 			weights = append([]float64(nil), c.Weights()...)
 			for i := 0; i < keys; i++ {
 				pl := c.newGetPlan(key(i)) // stat-silent probe
-				exec.RunSerial(pl)
+				c.runner.Serial.Run(pl)
 				if pl.hit {
 					survivors[string(key(i))] = true
 				}
@@ -179,7 +179,7 @@ func TestEvictWindowSparseTable(t *testing.T) {
 		live := 0
 		for i := 0; i < sparse; i++ {
 			pl := c.newGetPlan(key(i))
-			exec.RunSerial(pl)
+			c.runner.Serial.Run(pl)
 			if pl.hit {
 				live++
 			}
@@ -205,7 +205,7 @@ func TestBackgroundReclaimerKeepsWritesUnstalled(t *testing.T) {
 		t.Run(strat.String(), func(t *testing.T) {
 			env := sim.NewEnv(7)
 			cl := NewCluster(env, DefaultOptions(2000, 2000*320))
-			cl.ReclaimStrategy = strat
+			cl.Strategy = strat
 			cl.EnableBackgroundReclaim(0, 0)
 			env.Go("c", func(p *sim.Proc) {
 				c := cl.NewClient(p)

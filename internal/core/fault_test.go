@@ -224,3 +224,69 @@ func TestResharderRespawnsAfterKill(t *testing.T) {
 		t.Fatal("reshard never completed after the kill")
 	}
 }
+
+// TestBatchWriteFailureReleasesRegistrations: a typed failure raised in
+// the middle of a batched write must not leak the batch's hot-set write
+// registrations (or entry locks). MSet used to re-type Set's
+// BeginWrite…EndWrite bracket without the catch that closes it, so a
+// fail-stopped owner left every pair registered forever — and a key whose
+// registration never drains comes up Warming at its next promotion and
+// stays there: its reads never spread again.
+func TestBatchWriteFailureReleasesRegistrations(t *testing.T) {
+	env := sim.NewEnv(4)
+	mc := NewMultiCluster(env, 3, DefaultOptions(3000, 3000*320))
+	const threshold = 4
+	mc.EnableHotKeyReplication(1, threshold, 0)
+	victim := mc.NodeID(0)
+	recovered := false
+	env.Go("writer", func(p *sim.Proc) {
+		c := mc.NewClient(p)
+		ki := keyOwnedBy(t, mc, victim)
+		k := key(ki)
+		pairs := []KV{{Key: k, Value: value(ki)}, {Key: key(ki + 1), Value: value(ki + 1)}}
+		keys := [][]byte{pairs[0].Key, pairs[1].Key}
+		c.MSet(pairs)
+
+		// Fail the owner's fabric without reconfiguring the pool: the
+		// routing still targets the dead node, so the batch fails typed.
+		mc.nodes[victim].MN.Node.Fail()
+		func() {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok || !IsUnavailable(err) {
+					t.Fatalf("MSet to a failed node: recovered %v, want a typed unavailable error", err)
+				}
+				recovered = true
+			}()
+			c.MSet(pairs)
+		}()
+		c.MDelete(keys) // a failed owner's copies are gone: degrades, never raises
+		for _, k := range keys {
+			if n := mc.hot.InflightWrites(k); n != 0 {
+				t.Errorf("%d write registration(s) leaked on %q", n, k)
+			}
+		}
+
+		// Reconfigure, rewrite the key on its surviving owner, and heat it
+		// past the promotion threshold: with no registration left behind,
+		// the entry must come up spreadable.
+		mc.CrashNode(victim)
+		c.Set(k, value(ki))
+		for i := 0; i < 2*threshold; i++ {
+			if _, ok := c.Get(k); !ok {
+				t.Fatal("rewritten key not readable")
+			}
+		}
+		e := mc.hot.Lookup(k)
+		if e == nil {
+			t.Fatal("key was not promoted")
+		}
+		if e.Warming {
+			t.Error("promoted entry stuck Warming: its reads will never spread")
+		}
+	})
+	env.Run()
+	if !recovered {
+		t.Fatal("typed panic never observed")
+	}
+}

@@ -62,13 +62,8 @@ type MultiCluster struct {
 	route atomic.Pointer[routeSnapshot]
 	done  *sim.Cond // broadcast when a reshard completes
 
-	// ReshardStrategy selects how the resharder executes its migration
-	// plans: exec.Doorbell (the default) pipelines the table scan and the
-	// per-key migrations as doorbell batches, cutting reshard completion
-	// time; exec.Serial issues one verb per round trip, the paper-faithful
-	// baseline. Results are identical — any migration that hits a race
-	// under Doorbell is demoted to the serial per-slot path.
-	ReshardStrategy exec.Strategy
+	// strategy is THE execution-strategy setting of the pool (SetStrategy).
+	strategy exec.Strategy
 
 	// Reshards counts completed membership changes; MigratedKeys counts
 	// objects moved between MNs by resharding; ReshardNs accumulates the
@@ -93,21 +88,6 @@ type MultiCluster struct {
 	// Both are set by EnableHotKeyReplication.
 	HotThreshold  uint64
 	ReplicaFactor int
-
-	// ReplicaStrategy selects how replica fan-out verb plans (copy
-	// materialization, write-through updates, invalidations) execute:
-	// exec.Doorbell (the default) posts the fan-out as one doorbell batch
-	// across the replica endpoints; exec.Serial issues one verb per round
-	// trip. Results are identical — a plan that hits a complication is
-	// demoted to the serial retry path either way.
-	ReplicaStrategy exec.Strategy
-
-	// ReclaimStrategy selects how eviction plan batches execute on every
-	// node — the background reclaimers' rounds and the write paths'
-	// over-budget drains — mirroring ReshardStrategy/ReplicaStrategy:
-	// every node reads it at use time (a per-node override installed by
-	// provision), so assigning it any time takes effect pool-wide.
-	ReclaimStrategy exec.Strategy
 
 	// reclaimLow/reclaimHigh remember EnableBackgroundReclaim's
 	// watermarks so nodes provisioned later (AddNode) get a reclaimer of
@@ -137,15 +117,12 @@ type MultiCluster struct {
 // routeSnapshot is one immutable routing view. Everything a routing
 // decision consults lives here, so loading the snapshot once gives an
 // operation a consistent picture regardless of concurrent membership
-// changes; members caches the active node IDs in ascending order so
-// fan-out paths iterate a pre-sorted slice instead of re-sorting their
-// group keys per call.
+// changes.
 type routeSnapshot struct {
 	hashRing *ring.Ring // current (target) routing ring
 	oldRing  *ring.Ring // pre-reshard ring; non-nil while migrating
 	draining int        // node being drained by RemoveNode (-1 otherwise)
 	epoch    uint64     // bumped on every ring change (clients re-route)
-	members  []int      // active node IDs, ascending (provision order)
 }
 
 // owner returns the owner of key under this snapshot's routing ring,
@@ -162,34 +139,14 @@ func (s *routeSnapshot) owner(key []byte) (cur, old int) {
 	return cur, old
 }
 
-// fanoutOrder returns the group map's keys in ascending order. In the
-// steady state every group key is a pool member, so the snapshot's
-// pre-sorted members slice serves as the iteration order (callers skip
-// IDs with no group) and nothing is sorted or allocated per call; a
-// stray owner — a ring member with no backing node, possible in
-// degraded deployments — falls back to sorting the keys.
-func (s *routeSnapshot) fanoutOrder(groups map[int][]int) []int {
-	found := 0
-	for _, id := range s.members {
-		if _, ok := groups[id]; ok {
-			found++
-		}
-	}
-	if found == len(groups) {
-		return s.members
-	}
-	return sortedNodeIDs(groups)
-}
-
 // snap loads the current routing snapshot.
 func (mc *MultiCluster) snap() *routeSnapshot { return mc.route.Load() }
 
 // publishRoute installs a new routing snapshot — THE atomic switch every
 // membership change funnels through. The caller finishes all membership
 // bookkeeping (mc.nodes, mc.order) first, without yielding, so the
-// published members list matches the rings; the epoch advances with
-// every publish, which is what in-flight operations' staleness checks
-// key on.
+// membership matches the published rings; the epoch advances with every
+// publish, which is what in-flight operations' staleness checks key on.
 func (mc *MultiCluster) publishRoute(hashRing, oldRing *ring.Ring, draining int) {
 	var epoch uint64
 	if prev := mc.route.Load(); prev != nil {
@@ -200,7 +157,6 @@ func (mc *MultiCluster) publishRoute(hashRing, oldRing *ring.Ring, draining int)
 		oldRing:  oldRing,
 		draining: draining,
 		epoch:    epoch,
-		members:  append([]int(nil), mc.order...),
 	})
 }
 
@@ -219,13 +175,11 @@ func NewMultiCluster(env *sim.Env, n int, opts Options) *MultiCluster {
 		per.MaxCacheBytes = (opts.MaxCacheBytes + n - 1) / n
 	}
 	mc := &MultiCluster{
-		Env:             env,
-		perNode:         per,
-		nodes:           make(map[int]*Cluster),
-		done:            sim.NewCond(env),
-		ReshardStrategy: exec.Doorbell,
-		ReplicaStrategy: exec.Doorbell,
-		ReclaimStrategy: exec.Doorbell,
+		Env:      env,
+		perNode:  per,
+		nodes:    make(map[int]*Cluster),
+		done:     sim.NewCond(env),
+		strategy: exec.Doorbell,
 	}
 	h := ring.New(0)
 	for i := 0; i < n; i++ {
@@ -236,16 +190,33 @@ func NewMultiCluster(env *sim.Env, n int, opts Options) *MultiCluster {
 	return mc
 }
 
+// SetStrategy selects how every multi-plan batch in the pool executes:
+// the resharder's table scan and migrations, the replica fan-outs (copy
+// materialization, write-through updates, invalidations) and each node's
+// eviction batches (Cluster.Strategy). exec.Doorbell (the default) posts
+// each stage across the batch as one doorbell per endpoint; exec.Serial
+// issues one verb per round trip — the paper-faithful reference the
+// equivalence tests and the bench comparison rows run against. Results
+// are identical: a plan that hits a complication under Doorbell is
+// demoted to the serial retry path either way. Takes effect immediately,
+// pool-wide, and on nodes added later.
+func (mc *MultiCluster) SetStrategy(s exec.Strategy) {
+	mc.strategy = s
+	for _, id := range mc.order {
+		mc.nodes[id].Strategy = s
+	}
+}
+
 // provision creates one MN and registers it, without touching the routing
 // ring — the caller decides whether the join is immediate (construction)
-// or via a reshard (AddNode). Nodes inherit the pool's reclaim strategy,
-// its background reclaimer (when enabled) and the hot-key eviction hook,
-// so a node added mid-run behaves like its peers.
+// or via a reshard (AddNode). Nodes inherit the pool's strategy, its
+// background reclaimer (when enabled) and the hot-key eviction hook, so a
+// node added mid-run behaves like its peers.
 func (mc *MultiCluster) provision() int {
 	id := mc.nextID
 	mc.nextID++
 	cl := NewCluster(mc.Env, mc.perNode)
-	cl.reclaimStratFn = func() exec.Strategy { return mc.ReclaimStrategy }
+	cl.Strategy = mc.strategy
 	if mc.reclaimAll {
 		cl.EnableBackgroundReclaim(mc.reclaimLow, mc.reclaimHigh)
 	}
@@ -268,8 +239,8 @@ func (mc *MultiCluster) provision() int {
 }
 
 // EnableBackgroundReclaim starts a proactive reclaimer on every memory
-// node (see Cluster.EnableBackgroundReclaim), applying the pool's
-// ReclaimStrategy to each; nodes added later by AddNode get one too.
+// node (see Cluster.EnableBackgroundReclaim); nodes added later by
+// AddNode get one too.
 // low/high <= 0 pick the per-node defaults.
 func (mc *MultiCluster) EnableBackgroundReclaim(low, high int) {
 	mc.reclaimAll = true
@@ -382,13 +353,7 @@ func (mc *MultiCluster) CrashNode(id int) {
 	if draining == id {
 		draining = -1
 	}
-	delete(mc.nodes, id)
-	for i, nid := range mc.order {
-		if nid == id {
-			mc.order = append(mc.order[:i], mc.order[i+1:]...)
-			break
-		}
-	}
+	mc.dropNode(id)
 	// One publish switches both rings, the drain target and the
 	// membership together (no verbs since Crash), so clients observe the
 	// old pool or the new one, never a half-removed node.
@@ -398,6 +363,19 @@ func (mc *MultiCluster) CrashNode(id int) {
 		// Entry locks held by procs that died with the node (or by the
 		// killed reclaimer) must be stealable; wake the parked waiters.
 		mc.hot.CrashWake()
+	}
+}
+
+// dropNode removes node id from the membership bookkeeping (a no-op for
+// an unknown id). The caller publishes the route that goes with it
+// before yielding.
+func (mc *MultiCluster) dropNode(id int) {
+	delete(mc.nodes, id)
+	for i, nid := range mc.order {
+		if nid == id {
+			mc.order = append(mc.order[:i], mc.order[i+1:]...)
+			return
+		}
 	}
 }
 
@@ -590,15 +568,7 @@ func (mc *MultiCluster) runReshard(p *sim.Proc, m *MultiClient, st *reshardState
 	mc.Reshards++
 	mc.ReshardNs += p.Now() - st.start
 	if st.dropID >= 0 {
-		if _, ok := mc.nodes[st.dropID]; ok {
-			delete(mc.nodes, st.dropID)
-			for i, id := range mc.order {
-				if id == st.dropID {
-					mc.order = append(mc.order[:i], mc.order[i+1:]...)
-					break
-				}
-			}
-		}
+		mc.dropNode(st.dropID) // a no-op when the draining node crashed out already
 	}
 	mc.publishRoute(mc.snap().hashRing, nil, -1)
 	st.finalized = true
@@ -639,7 +609,7 @@ func (mc *MultiCluster) migrateNode(m *MultiClient, srcID int, inserts *[]migrat
 	if src == nil || cl == nil {
 		return 0
 	}
-	doorbell := mc.ReshardStrategy == exec.Doorbell
+	doorbell := mc.strategy == exec.Doorbell
 	step := 1
 	if doorbell {
 		step = reshardScanBuckets
@@ -732,17 +702,12 @@ func (mc *MultiCluster) migrateNode(m *MultiClient, srcID int, inserts *[]migrat
 				plans[j] = newMigratePlan(src, m.clientFor(it.owner), it.s, it.dec)
 				run[j] = plans[j]
 			}
-			exec.RunDoorbell(run)
+			m.runner.Doorbell.Run(run)
 			for j, pl := range plans {
 				it := batch[j]
 				switch pl.outcome {
 				case migMoved:
-					*inserts = append(*inserts, migratedCopy{
-						dstID: it.owner, kh: it.kh, fp: hashtable.Fingerprint(it.kh),
-						key: pl.ins.key, addr: pl.ins.slotAddr, atom: pl.ins.want,
-						tenant: pl.ins.tenant,
-					})
-					mc.MigratedKeys++
+					mc.noteMoved(inserts, it.owner, it.kh, pl)
 					pending++
 				case migSkipped:
 					// Destination already newer; source copy GC'd in-plan.
@@ -756,6 +721,20 @@ func (mc *MultiCluster) migrateNode(m *MultiClient, srcID int, inserts *[]migrat
 		}
 	}
 	return pending
+}
+
+// noteMoved counts one migrated key and records its insert for the
+// end-of-reshard verification sweep — only now that the insert SURVIVED:
+// an entry for an undone insert would let the sweep's precise CAS fire on
+// an ABA reuse of the slot (same fingerprint, same size class, recycled
+// block address) and delete an unrelated live object.
+func (mc *MultiCluster) noteMoved(inserts *[]migratedCopy, dstID int, kh uint64, pl *migratePlan) {
+	*inserts = append(*inserts, migratedCopy{
+		dstID: dstID, kh: kh, fp: hashtable.Fingerprint(kh),
+		key: pl.ins.key, addr: pl.ins.slotAddr, atom: pl.ins.want,
+		tenant: pl.ins.tenant,
+	})
+	mc.MigratedKeys++
 }
 
 // migrateSlotRetries bounds the per-slot redo loop when the source copy
@@ -774,20 +753,10 @@ func (mc *MultiCluster) migrateSlot(src, dst *Client, dstID int, s hashtable.Slo
 
 	for try := 0; try < migrateSlotRetries; try++ {
 		pl := newMigratePlan(src, dst, s, dec)
-		exec.RunSerial(pl)
+		src.runner.Serial.Run(pl)
 		switch pl.outcome {
 		case migMoved:
-			// Record for the verification sweep only now that the insert
-			// SURVIVED — an entry for an undone insert would let the
-			// sweep's precise CAS fire on an ABA reuse of the slot (same
-			// fingerprint, same size class, recycled block address) and
-			// delete an unrelated live object.
-			*inserts = append(*inserts, migratedCopy{
-				dstID: dstID, kh: kh, fp: hashtable.Fingerprint(kh),
-				key: pl.ins.key, addr: pl.ins.slotAddr, atom: pl.ins.want,
-				tenant: pl.ins.tenant,
-			})
-			mc.MigratedKeys++
+			mc.noteMoved(inserts, dstID, kh, pl)
 			return 1
 		case migSkipped:
 			// The destination already held a newer client-written copy:
@@ -860,18 +829,45 @@ func (mc *MultiCluster) ShrinkCache(bytes int) {
 	}
 }
 
-// MultiClient routes operations to the MN owning each key. During a
-// reshard it serves the forwarding window: Gets that miss on a key's new
-// owner retry on its old owner, Sets go to the new owner only, Deletes
-// clear the old copy before the new one. With hot-key replication
-// enabled (replica.go) it additionally spreads reads of promoted keys
-// across the primary and its replicas, and writes through to every copy.
+// MultiClient routes operations to the MN owning each key. Every
+// operation runs through ONE routed pipeline per kind — read, write,
+// remove — and a single-key operation is a batch of one through the same
+// code, traversed under exec.Serial (the §4.1 verb budget) where the
+// batched forms traverse under exec.Doorbell. Each pipeline has the same
+// stages:
+//
+//	snapshot the route
+//	→ replicated keys (replica.go): reads spread to a replica; writes
+//	  lock the entry and write through, or register as unreplicated
+//	→ group key indices by owning node (client-owned scratch)
+//	→ run each group on its per-node Client, ascending node order
+//	→ serve the forwarding window of a reshard in flight
+//	→ re-check the epoch; re-route whatever a ring switch left stale
+//	→ account silent misses / repair raced promotions and unregister
+//
+// During a reshard the window stage keeps every key observable: reads
+// that miss on a key's new owner retry on its old owner, writes go to the
+// new owner only and clear the old copy behind them, removes clear the
+// old copy before the new one.
 type MultiClient struct {
 	mc      *MultiCluster
 	p       *sim.Proc
 	clients map[int]*Client
 	tenant  TenantID    // bound tenant, propagated to every per-node client
 	promo   []promoCand // hot-key promotion candidates queued by the hit hook
+
+	// runner drives plans that span several per-node clients: replica
+	// fan-outs and the resharder's migration batches.
+	runner exec.Runner
+
+	// The one-element batch behind Get/Set/TrySet/Delete, and the free
+	// list of pipeline scratch, so single-key operations allocate nothing
+	// of their own.
+	key1 [1][]byte
+	kv1  [1]KV
+	val1 [1][]byte
+	ok1  [1]bool
+	free []*routeScratch
 }
 
 // promoCand is one queued hot-key promotion candidate: the key plus the
@@ -881,6 +877,55 @@ type MultiClient struct {
 type promoCand struct {
 	key    []byte
 	tenant TenantID
+}
+
+// routeScratch is one pipeline run's working memory. Runs nest — a
+// replicated key's primary write is a routed write of one inside the
+// batch's own run — so each run takes a scratch off the client's free
+// list and returns it; at steady state nothing is allocated.
+type routeScratch struct {
+	cur, old []int // key index → owner, and old owner to forward to (-1: no window), under the attempt's snapshot
+	// Key-index lists, each with room for every key: those still to
+	// route, an attempt's keys outside / inside a forwarding window, and
+	// the misses no client counted (or groups a ring switch left stale).
+	pend, stable, window, silent []int
+	groups                       [][]int // node ID → key indices of the fan-out being run
+}
+
+// scratch takes a routeScratch sized for a batch of n keys.
+func (m *MultiClient) scratch(n int) *routeScratch {
+	var sc *routeScratch
+	if k := len(m.free); k > 0 {
+		sc, m.free = m.free[k-1], m.free[:k-1]
+	} else {
+		sc = &routeScratch{}
+	}
+	if cap(sc.cur) < n {
+		sc.cur, sc.old = make([]int, n), make([]int, n)
+		sc.pend, sc.stable = make([]int, 0, n), make([]int, 0, n)
+		sc.window, sc.silent = make([]int, 0, n), make([]int, 0, n)
+	}
+	sc.cur, sc.old = sc.cur[:n], sc.old[:n]
+	return sc
+}
+
+func (m *MultiClient) release(sc *routeScratch) { m.free = append(m.free, sc) }
+
+// group buckets idxs by node[i] into sc.groups. Ranging over sc.groups
+// then visits the nodes in ascending ID order — THE deterministic fan-out
+// order of every pipeline — skipping the empty ones. idxs is fully
+// consumed before group returns, so callers may reuse its storage.
+func (sc *routeScratch) group(idxs, node []int) {
+	for id := range sc.groups {
+		sc.groups[id] = sc.groups[id][:0]
+	}
+	for _, i := range idxs {
+		id := node[i]
+		for len(sc.groups) <= id {
+			sc.groups = append(sc.groups, nil)
+		}
+		sc.groups[id] = append(sc.groups[id], i)
+	}
 }
 
 // NewClient connects process p to every current memory node; connections
@@ -923,8 +968,8 @@ func (m *MultiClient) clientFor(id int) *Client {
 	return c
 }
 
-// routeRetries bounds re-routing when a reshard switches the ring in the
-// middle of an operation.
+// routeRetries bounds a read's re-routing when a reshard switches the
+// ring in the middle of it.
 const routeRetries = 4
 
 // owner returns the current owner of key under the routing ring, plus the
@@ -933,90 +978,128 @@ func (m *MultiClient) owner(key []byte) (cur, old int) {
 	return m.mc.snap().owner(key)
 }
 
+// ------------------------------------------------------------------ read ----
+
 // Get fetches key from its owning MN. During a reshard a miss on the new
 // owner is retried on the old owner, so a key in flight between MNs is
 // always observable from one of the two. When hot-key replication is on,
-// a promoted key's read may instead be served by one of its replicas
-// (getSpread in replica.go); a replica miss falls back to the routed
-// path below, so spreading never turns a present key into a miss.
+// a promoted key's read may instead be served by one of its replicas; a
+// replica miss falls back to the routed path, so spreading never turns a
+// present key into a miss.
 func (m *MultiClient) Get(key []byte) ([]byte, bool) {
+	m.key1[0], m.val1[0], m.ok1[0] = key, nil, false
+	m.read(m.key1[:], m.val1[:], m.ok1[:], exec.Serial)
+	return m.val1[0], m.ok1[0]
+}
+
+// MGet fetches a batch of keys: each key routes to its ring owner, and
+// every owner serves its whole group with one doorbell-batched MGet.
+func (m *MultiClient) MGet(keys [][]byte) ([][]byte, []bool) {
+	vals := make([][]byte, len(keys))
+	oks := make([]bool, len(keys))
+	m.read(keys, vals, oks, exec.Doorbell)
+	return vals, oks
+}
+
+// read is THE routed read pipeline: it fills vals[i]/oks[i] for every
+// key. Replicated keys spread to their rotation-chosen replicas first
+// (spread, replica.go); whatever misses there — plus every unreplicated
+// key — routes to its ring owner. A key that stays missing counts
+// exactly one logical miss, on some surviving client.
+func (m *MultiClient) read(keys, vals [][]byte, oks []bool, strat exec.Strategy) {
+	if len(keys) == 0 {
+		return
+	}
+	sc := m.scratch(len(keys))
+	pend := sc.pend[:0]
 	if m.mc.hot != nil {
 		m.drainPromotions()
-		if v, ok, served := m.getSpread(key); served {
-			return v, ok
+		pend = m.spread(sc, pend, keys, vals, oks, strat)
+	} else {
+		for i := range keys {
+			pend = append(pend, i)
 		}
 	}
-	return m.getRouted(key)
-}
-
-// getFrom runs one Get (counting, or stat-silent probe) on c, degrading
-// a node fail-stop mid-verb to a miss: the copy the verbs were chasing
-// died with the node, which is what a miss means. The caller's epoch
-// re-check then re-routes — CrashNode bumps the epoch — so the retried
-// probe lands on the key's surviving owner.
-func getFrom(c *Client, key []byte, probe bool) (v []byte, ok bool) {
-	if rdma.CatchUnreachable(func() {
-		if probe {
-			v, ok = c.getProbe(key)
-		} else {
-			v, ok = c.Get(key)
-		}
-	}) != nil {
-		return nil, false
-	}
-	return v, ok
-}
-
-// getRouted is the unreplicated Get path: route to the ring owner, serve
-// the forwarding window during a reshard.
-func (m *MultiClient) getRouted(key []byte) ([]byte, bool) {
 	for attempt := 0; ; attempt++ {
 		snap := m.mc.snap()
-		cur, old := snap.owner(key)
-		curClient := m.clientFor(cur)
-		if old < 0 {
-			if curClient != nil {
-				if v, ok := getFrom(curClient, key, false); ok {
-					return v, true
-				}
+		stable, window := sc.stable[:0], sc.window[:0]
+		for _, i := range pend {
+			sc.cur[i], sc.old[i] = snap.owner(keys[i])
+			if sc.old[i] < 0 {
+				stable = append(stable, i)
+			} else {
+				window = append(window, i)
 			}
-		} else {
-			// Forwarding window: probe with stat-silent Gets so a key
-			// still sitting on its old owner does not record a phantom
-			// miss on the new owner for every forwarded hit. The key may
-			// migrate old→new between the two probes; after a migration
-			// it stays put, so one re-probe of the new owner settles that
-			// race without amplifying genuine misses.
-			if curClient != nil {
-				if v, ok := getFrom(curClient, key, true); ok {
-					return v, true
-				}
+		}
+		// Keys outside any forwarding window: one counting read per
+		// owner. silent collects the misses no client counted.
+		silent := m.readGroups(sc, stable, sc.cur, keys, vals, oks, false, strat, sc.silent[:0])
+		// Forwarding window: probe with stat-silent reads so a key still
+		// sitting on its old owner does not record a phantom miss on the
+		// new owner for every forwarded hit — new owner, old owner, then
+		// the new owner once more. The key may migrate old→new between
+		// the first two probes; after a migration it stays put, so the
+		// one re-probe settles that race without amplifying genuine
+		// misses.
+		for _, node := range [3][]int{sc.cur, sc.old, sc.cur} {
+			if len(window) == 0 {
+				break
 			}
-			if c := m.clientFor(old); c != nil {
-				if v, ok := getFrom(c, key, true); ok {
-					return v, true
-				}
+			window = m.readGroups(sc, window, node, keys, vals, oks, true, strat, window[:0])
+		}
+		silent = append(silent, window...)
+		if m.mc.snap().epoch == snap.epoch || attempt >= routeRetries {
+			// Count the one logical miss of every key whose probes were
+			// silent or whose owner could not run it, so
+			// Stats().HitRate() cannot overstate the hit rate during a
+			// shrink.
+			for _, i := range silent {
+				m.countMiss(sc.cur[i], sc.old[i])
 			}
-			if curClient != nil {
-				if v, ok := getFrom(curClient, key, true); ok {
-					return v, true
-				}
-			}
+			break
 		}
 		// A ring switch mid-operation means we probed stale owners:
-		// re-route and retry (bounded) before declaring a miss.
-		if m.mc.snap().epoch == snap.epoch || attempt >= routeRetries {
-			if old >= 0 || curClient == nil {
-				// Either the probes were silent (forwarding window), or
-				// the owner's client vanished mid-route and nothing ran
-				// at all: count the one logical miss explicitly, so
-				// Stats().HitRate() cannot overstate the hit rate during
-				// a shrink.
-				m.countMiss(cur, old)
+		// re-route every key still missing, in key order.
+		next := pend[:0]
+		for _, i := range pend {
+			if !oks[i] {
+				next = append(next, i)
 			}
-			return nil, false
+		}
+		pend = next
+		sort.Ints(pend)
+	}
+	m.release(sc)
+}
+
+// readGroups runs one read per node over keys[idxs] grouped by node[i]
+// (counting, or stat-silent probe) and appends to dst the indices that
+// still miss and whose miss no client has counted: every miss of a probe,
+// and for a counting read the groups that could not run. A node that has
+// left the pool runs nothing, and a node fail-stop mid-verb degrades to
+// a miss — the copy the verbs were chasing died with the node, which is
+// what a miss means; the caller's epoch re-check then re-routes
+// (CrashNode bumps the epoch) to the key's surviving owner.
+func (m *MultiClient) readGroups(sc *routeScratch, idxs, node []int, keys, vals [][]byte, oks []bool,
+	probe bool, strat exec.Strategy, dst []int) []int {
+
+	sc.group(idxs, node)
+	for id, g := range sc.groups {
+		if len(g) == 0 {
+			continue
+		}
+		c := m.clientFor(id)
+		ran := c != nil && rdma.CatchUnreachable(func() { c.mget(keys, g, vals, oks, probe, strat) }) == nil
+		if ran && !probe {
+			continue // the owner counted its own misses
+		}
+		for _, i := range g {
+			if !oks[i] {
+				dst = append(dst, i)
+			}
 		}
 	}
+	return dst
 }
 
 // countMiss records one logical Get miss on a surviving client: the
@@ -1046,260 +1129,263 @@ func (m *MultiClient) countMiss(cur, old int) {
 	}
 }
 
-// MGet fetches a batch of keys: each key routes to its ring owner, and
-// every owner serves its whole group with one doorbell-batched MGet.
-// During a reshard the forwarding window is preserved with batched
-// stat-silent probes, in Get's exact order — new owner, old owner, new
-// owner again to settle the migration race — and every key that stays
-// missing counts one logical miss on a surviving client.
-func (m *MultiClient) MGet(keys [][]byte) ([][]byte, []bool) {
-	vals := make([][]byte, len(keys))
-	oks := make([]bool, len(keys))
-	if len(keys) == 0 {
-		return vals, oks
-	}
-	var pending []int
-	if m.mc.hot != nil {
-		// Replicated keys spread to their rotation-chosen replicas first
-		// (batched silent probes, replica.go); whatever misses — plus
-		// every unreplicated key — continues through the routed path.
-		m.drainPromotions()
-		pending = m.mgetSpread(keys, vals, oks)
-	} else {
-		pending = make([]int, len(keys))
-		for i := range keys {
-			pending[i] = i
-		}
-	}
-	for attempt := 0; ; attempt++ {
-		snap := m.mc.snap()
-		stable := make(map[int][]int) // cur owner → key indices, no window
-		window := make(map[int][]int) // cur owner → key indices in a window
-		oldOf := make(map[int]int)    // key index → old owner
-		for _, i := range pending {
-			cur, old := snap.owner(keys[i])
-			if old < 0 {
-				stable[cur] = append(stable[cur], i)
-			} else {
-				window[cur] = append(window[cur], i)
-				oldOf[i] = old
-			}
-		}
+// ----------------------------------------------------------------- write ----
 
-		// Stable keys: one counting batch per owner; a nil client (owner
-		// vanished mid-route) leaves the group's misses uncounted for the
-		// final accounting below, like the probes.
-		var counted, silent []int
-		for _, owner := range snap.fanoutOrder(stable) {
-			idxs, ok := stable[owner]
-			if !ok {
-				continue
-			}
-			missed, ran := m.mgetGroup(owner, idxs, keys, vals, oks, false)
-			if ran {
-				counted = append(counted, missed...)
-			} else {
-				silent = append(silent, missed...)
-			}
-		}
-
-		// Forwarding window: silent probe batches on the new owners, the
-		// old owners, then the new owners once more.
-		var winMissed []int
-		for _, owner := range snap.fanoutOrder(window) {
-			idxs, ok := window[owner]
-			if !ok {
-				continue
-			}
-			missed, _ := m.mgetGroup(owner, idxs, keys, vals, oks, true)
-			winMissed = append(winMissed, missed...)
-		}
-		for pass := 0; pass < 2 && len(winMissed) > 0; pass++ {
-			regrouped := make(map[int][]int)
-			for _, i := range winMissed {
-				owner := oldOf[i]
-				if pass == 1 { // final settle pass re-probes the new owner
-					owner, _ = m.owner(keys[i])
-				}
-				regrouped[owner] = append(regrouped[owner], i)
-			}
-			winMissed = winMissed[:0]
-			for _, owner := range snap.fanoutOrder(regrouped) {
-				idxs, ok := regrouped[owner]
-				if !ok {
-					continue
-				}
-				missed, _ := m.mgetGroup(owner, idxs, keys, vals, oks, true)
-				winMissed = append(winMissed, missed...)
-			}
-		}
-		silent = append(silent, winMissed...)
-
-		if m.mc.snap().epoch == snap.epoch || attempt >= routeRetries {
-			// The silent misses (window probes, vanished owners) were
-			// never counted: record one logical miss each on a surviving
-			// client, as Get does.
-			for _, i := range silent {
-				cur, old := m.owner(keys[i])
-				m.countMiss(cur, old)
-			}
-			return vals, oks
-		}
-		// A ring switch mid-batch: re-route every key still missing.
-		pending = append(counted, silent...)
-		sort.Ints(pending)
-	}
+// Set stores key on its owning MN. When the key is replicated, the write
+// goes through the primary first and then updates every replica before
+// returning (writeThrough in replica.go), all under the key's entry
+// lock — so after any completed Set, every copy a spread read can reach
+// holds the written value.
+func (m *MultiClient) Set(key, value []byte) {
+	raise(m.TrySet(key, value))
 }
 
-// mgetGroup runs one batched (probe or counting) MGet for the given key
-// indices on one node, filling vals/oks for hits. It returns the indices
-// that missed and whether a client actually ran the batch (false when
-// the node has left the pool, in which case nothing was counted).
-func (m *MultiClient) mgetGroup(owner int, idxs []int, keys, vals [][]byte, oks []bool, probe bool) (missed []int, ran bool) {
-	c := m.clientFor(owner)
-	if c == nil {
-		return idxs, false
-	}
-	sub := make([][]byte, len(idxs))
-	for j, i := range idxs {
-		sub[j] = keys[i]
-	}
-	var vs [][]byte
-	var os []bool
-	if rdma.CatchUnreachable(func() { vs, os = c.mget(sub, probe) }) != nil {
-		// The node fail-stopped mid-batch: every copy it held died with
-		// it. Report the whole group missed and uncounted; the caller's
-		// epoch re-check re-routes to the surviving owners.
-		return idxs, false
-	}
-	for j, i := range idxs {
-		if os[j] {
-			vals[i], oks[i] = vs[j], true
-		} else {
-			missed = append(missed, i)
-		}
-	}
-	return missed, true
+// TrySet is Set with crash-time failures surfaced as errors instead of
+// panics: when the key's owner fail-stops mid-write and the pool has not
+// reconfigured yet, it returns an error satisfying IsUnavailable (the
+// write may or may not have landed — the node took the answer with it),
+// and the caller retries after the pool reconfigures. Internal
+// bookkeeping (entry locks, write registrations) is always released
+// before the error returns, so a failed TrySet never wedges later
+// writers.
+func (m *MultiClient) TrySet(key, value []byte) error {
+	m.kv1[0] = KV{Key: key, Value: value}
+	return m.write(m.kv1[:], exec.Serial)
 }
 
 // MSet stores a batch of pairs: one doorbell-batched MSet per owning MN.
-// During a reshard each windowed key's pre-reshard copy is deleted from
-// its old owner after the write lands, exactly as Set does per key.
-// Replicated keys are peeled off first and written through Set's
-// replicated path one by one (hot keys are read-heavy by definition, so
-// a batch rarely carries more than a few); the batch semantics of the
-// rest are unchanged.
+// Replicated keys are written through one by one first (hot keys are
+// read-heavy by definition, so a batch rarely carries more than a few).
+// Like Set it panics with a typed error when an owner is unusable —
+// after releasing every lock and registration the batch took.
 func (m *MultiClient) MSet(pairs []KV) {
-	if len(pairs) == 0 {
-		return
-	}
-	if m.mc.hot != nil {
-		m.drainPromotions()
-		// One atomic pass (no verbs): peel off currently-replicated pairs
-		// and register the rest, so a promotion published after this
-		// instant either sees the registration or is found by m.Set.
-		rest := make([]KV, 0, len(pairs))
-		var hot []KV
-		for _, kv := range pairs {
-			if m.mc.hot.Lookup(kv.Key) != nil {
-				hot = append(hot, kv)
-			} else {
-				m.mc.hot.BeginWrite(kv.Key)
-				rest = append(rest, kv)
-			}
-		}
-		for _, kv := range hot {
-			m.Set(kv.Key, kv.Value)
-		}
-		m.msetDirect(rest)
-		// Promotions racing the batch may have snapshotted pre-write
-		// values: repair every just-written key's entry, as Set does,
-		// each before its own unregistration.
-		var firstErr error
-		for i := range rest {
-			if err := m.resyncAfterWrite(rest[i].Key); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			m.mc.hot.EndWrite(rest[i].Key)
-		}
-		raise(firstErr)
-		return
-	}
-	m.msetDirect(pairs)
+	raise(m.write(pairs, exec.Doorbell))
 }
 
-// msetDirect is the unreplicated MSet path. The reshard's straggler-pass
-// safety net assumes a write's routing decision is at most one
-// operation's span stale; a multi-group batch could stretch that
-// arbitrarily, so the epoch is re-checked before each group and the
-// remaining pairs re-route serially after a mid-batch ring switch — the
-// residual window is then one group's span, the same bound a serial Set
-// has.
-func (m *MultiClient) msetDirect(pairs []KV) {
+// write is THE routed write pipeline. With replication on, each pair
+// first opens the replicated-write bracket (beginWrite, replica.go): a
+// live entry is written through under its lock right there; every other
+// pair is left registered as an unreplicated write in flight and joins
+// the routed batch, after which endWrite repairs any entry a racing
+// promotion published meanwhile and unregisters it. Typed failures —
+// an unusable owner, an exhausted retry budget — are returned only after
+// the whole bracket is closed.
+func (m *MultiClient) write(pairs []KV, strat exec.Strategy) error {
 	if len(pairs) == 0 {
-		return
+		return nil
 	}
-	snap := m.mc.snap()
-	groups := make(map[int][]int)
-	oldOf := make(map[int]int)
-	for i := range pairs {
-		cur, old := snap.owner(pairs[i].Key)
-		groups[cur] = append(groups[cur], i)
-		if old >= 0 {
-			oldOf[i] = old
+	hot := m.mc.hot
+	sc := m.scratch(len(pairs))
+	routed := sc.pend[:0]
+	var first error
+	err := catchUnavailable(func() {
+		if hot != nil {
+			m.drainPromotions()
 		}
-	}
-	owners := snap.fanoutOrder(groups)
-	for gi, owner := range owners {
-		idxs := groups[owner]
-		if len(idxs) == 0 {
-			continue
-		}
-		c := m.clientFor(owner)
-		if m.mc.snap().epoch != snap.epoch || c == nil {
-			// The ring switched (or the owner left the pool) while earlier
-			// groups' verbs were in flight: every remaining routing
-			// decision is stale. Re-route the rest per pair — Set routes
-			// at issue time, restoring the design's staleness bound.
-			for _, o := range owners[gi:] {
-				for _, i := range groups[o] {
-					m.Set(pairs[i].Key, pairs[i].Value)
+		for i := range pairs {
+			if hot != nil {
+				if e := m.beginWrite(pairs[i].Key, false); e != nil {
+					if werr := m.writeThrough(e, pairs, i); first == nil {
+						first = werr
+					}
+					continue
 				}
 			}
-			return
+			routed = append(routed, i)
 		}
-		sub := make([]KV, len(idxs))
-		for j, i := range idxs {
-			sub[j] = pairs[i]
-		}
-		if rdma.CatchUnreachable(func() { c.MSet(sub) }) != nil {
-			// The owner fail-stopped mid-batch; none of this group's
-			// outcomes are knowable. CrashNode has already re-routed the
-			// key space, so store the group (and everything after it)
-			// per pair against the new owners.
-			for _, o := range owners[gi:] {
-				for _, i := range groups[o] {
-					m.Set(pairs[i].Key, pairs[i].Value)
-				}
+		m.writeRouted(pairs, routed, strat)
+	})
+	if hot != nil {
+		for _, i := range routed {
+			if rerr := m.endWrite(pairs[i].Key, err == nil); first == nil {
+				first = rerr
 			}
-			return
 		}
-		for _, i := range idxs {
-			if old, windowed := oldOf[i]; windowed {
-				if oc := m.clientFor(old); oc != nil {
+	}
+	m.release(sc)
+	if first == nil {
+		first = err
+	}
+	return first
+}
+
+// writeRouted stores pairs[idxs] on their ring owners, one group per
+// owner. During a reshard the new owner gets the write and any
+// pre-reshard copy on the old owner is deleted behind it, so a later
+// eviction of the fresh value cannot let the resharder resurrect the
+// superseded one. (The resharder's source CAS fails once the old copy is
+// gone, and its insert-if-absent never overwrites the write; a write
+// racing a migrated insert into a different slot may be shadowed until
+// the reshard's verification sweep — see the MultiCluster comment.)
+//
+// The reshard's straggler-pass safety net assumes a write's routing
+// decision is at most one operation's span stale; a multi-group batch
+// could stretch that arbitrarily, so the epoch is re-checked before each
+// group and whatever a ring switch (or a node fail-stop the pool has
+// already reconfigured around) left unissued is re-routed against the
+// new ring — the residual window is one group's span, the bound a single
+// Set has.
+func (m *MultiClient) writeRouted(pairs []KV, idxs []int, strat exec.Strategy) {
+	sc := m.scratch(len(pairs))
+	for pend := idxs; len(pend) > 0; {
+		snap := m.mc.snap()
+		for _, i := range pend {
+			sc.cur[i], sc.old[i] = snap.owner(pairs[i].Key)
+		}
+		sc.group(pend, sc.cur)
+		pend = sc.pend[:0] // the groups a ring switch leaves unissued; idxs stays the caller's
+		for id, g := range sc.groups {
+			if len(g) == 0 {
+				continue
+			}
+			if m.mc.snap().epoch != snap.epoch {
+				pend = append(pend, g...)
+				continue
+			}
+			c := m.clientFor(id)
+			if c == nil {
+				// Reads degrade when a routed owner has no backing node (the
+				// miss is counted on a survivor), but a write has nowhere to
+				// land: the ring and the membership switch atomically, so
+				// this is a corrupted deployment — fail loudly and typed.
+				panic(&NoOwnerError{Node: id})
+			}
+			if err := rdma.CatchUnreachable(func() { c.mset(pairs, g, strat) }); err != nil {
+				// The owner fail-stopped mid-write; none of this group's
+				// outcomes are knowable. Once CrashNode has re-routed the
+				// key space the group is stored again on its new owners;
+				// until then the failure is the caller's to retry.
+				if m.mc.snap().epoch == snap.epoch {
+					raise(err)
+				}
+				pend = append(pend, g...)
+				continue
+			}
+			for _, i := range g {
+				if sc.old[i] < 0 {
+					continue
+				}
+				if oc := m.clientFor(sc.old[i]); oc != nil {
+					// A pre-reshard copy on an old owner that fail-stops
+					// mid-delete died with the node — the cleanup's goal is
+					// already met.
 					_ = rdma.CatchUnreachable(func() { oc.Delete(pairs[i].Key) })
 				}
 			}
 		}
 	}
+	m.release(sc)
+}
+
+// ---------------------------------------------------------------- remove ----
+
+// Delete removes key from its owning MN, reporting whether a copy was
+// present. A replicated key is demoted first — its replicas are
+// invalidated under the entry lock BEFORE the primary copy is cleared,
+// so no spread read can hit a replica after the delete returns — and the
+// span is registered like an unreplicated write, so a promotion racing
+// the delete publishes warming and is then repaired before returning:
+// the repair finds the primary gone and demotes the entry.
+func (m *MultiClient) Delete(key []byte) bool {
+	m.key1[0], m.ok1[0] = key, false
+	raise(m.remove(m.key1[:], m.ok1[:], exec.Serial))
+	return m.ok1[0]
+}
+
+// MDelete removes a batch of keys: one doorbell-batched MDelete per
+// owning MN, with Delete's per-key guarantees.
+func (m *MultiClient) MDelete(keys [][]byte) []bool {
+	out := make([]bool, len(keys))
+	raise(m.remove(keys, out, exec.Doorbell))
+	return out
+}
+
+// remove is THE routed remove pipeline: out[i] reports whether any copy
+// of keys[i] was deleted. With replication on every key opens the
+// replicated-write bracket in remove mode — its entry, if any, is
+// dissolved — and the bracket is closed for the whole batch (a repair
+// failure on one key must not strand the rest registered) before the
+// first failure surfaces.
+func (m *MultiClient) remove(keys [][]byte, out []bool, strat exec.Strategy) error {
+	hot := m.mc.hot
+	n := 0 // keys[:n] hold a registration
+	first := catchUnavailable(func() {
+		if hot != nil {
+			for ; n < len(keys); n++ {
+				m.beginWrite(keys[n], true)
+			}
+		}
+		m.removeRouted(keys, out, strat)
+	})
+	for _, k := range keys[:n] {
+		if rerr := m.endWrite(k, true); first == nil {
+			first = rerr
+		}
+	}
+	return first
+}
+
+// removeRouted clears every key on its ring owner. During a reshard both
+// owners are cleared, old copy first, batched per old owner — that
+// ordering, combined with the resharder's verify-then-undo CAS
+// discipline, ensures a racing migration cannot durably resurrect the
+// deleted key (the dead value may flicker back for the few verb round
+// trips between the resharder's insert and its undo, but never outlives
+// the reshard). Like writes, the epoch is re-checked before each group:
+// after a ring switch every unissued routing decision is stale, so the
+// keys whose current-owner delete has not run re-route — otherwise a key
+// migrated to a new owner between routing and issue would survive its
+// own deletion (re-clearing an old copy is idempotent).
+func (m *MultiClient) removeRouted(keys [][]byte, out []bool, strat exec.Strategy) {
+	sc := m.scratch(len(keys))
+	pend := sc.pend[:0]
+	for i := range keys {
+		pend = append(pend, i)
+	}
+	for len(pend) > 0 {
+		snap := m.mc.snap()
+		window := sc.window[:0]
+		for _, i := range pend {
+			sc.cur[i], sc.old[i] = snap.owner(keys[i])
+			if sc.old[i] >= 0 {
+				window = append(window, i)
+			}
+		}
+		if stale := m.removeGroups(sc, snap, window, sc.old, keys, out, strat, sc.silent[:0]); len(stale) > 0 {
+			continue // nothing reached a current owner yet: re-route it all
+		}
+		pend = m.removeGroups(sc, snap, pend, sc.cur, keys, out, strat, pend[:0])
+	}
+	m.release(sc)
+}
+
+// removeGroups runs one delete per node over keys[idxs] grouped by
+// node[i], and appends to dst the groups a ring switch since snap left
+// unissued. A node that left the pool has nothing to clear, and one that
+// fail-stops mid-delete achieves the deletion by dying: its copy is gone
+// either way, so the unreachable error degrades to "nothing was there".
+func (m *MultiClient) removeGroups(sc *routeScratch, snap *routeSnapshot, idxs, node []int, keys [][]byte,
+	out []bool, strat exec.Strategy, dst []int) []int {
+
+	sc.group(idxs, node)
+	for id, g := range sc.groups {
+		if len(g) == 0 {
+			continue
+		}
+		if m.mc.snap().epoch != snap.epoch {
+			dst = append(dst, g...)
+		} else if c := m.clientFor(id); c != nil {
+			_ = rdma.CatchUnreachable(func() { c.mdelete(keys, g, out, strat) })
+		}
+	}
+	return dst
 }
 
 // sortedNodeIDs returns a node-keyed map's IDs in ascending order — the
 // one deterministic-iteration helper for maps that may hold departed
 // nodes (Close, Stats, the resharder's free-list surrender over
-// connected clients) and routeSnapshot.fanoutOrder's stray-owner
-// fallback. The operation fan-outs themselves iterate the snapshot's
-// cached members instead of sorting per call.
+// connected clients). The operation fan-outs themselves group by node ID
+// into a slice (routeScratch.group) instead of sorting per call.
 func sortedNodeIDs[V any](m map[int]V) []int {
 	ids := make([]int, 0, len(m))
 	//dittolint:allow simdet (this helper IS the sanctioned pattern: the keys are sorted before any caller iterates them)
@@ -1308,248 +1394,6 @@ func sortedNodeIDs[V any](m map[int]V) []int {
 	}
 	sort.Ints(ids)
 	return ids
-}
-
-// Set stores key on its owning MN. When the key is replicated, the write
-// goes through the primary first and then updates every replica before
-// returning (setReplicated in replica.go), all under the key's entry
-// lock — so after any completed Set, every copy a spread read can reach
-// holds the written value. A write that found no entry runs unreplicated
-// and registered (BeginWrite, atomically with the nil lock result), and
-// repairs any entry a racing promotion published meanwhile
-// (resyncAfterWrite) before unregistering and returning.
-func (m *MultiClient) Set(key, value []byte) {
-	raise(m.TrySet(key, value))
-}
-
-// TrySet is Set with crash-time failures surfaced as errors instead of
-// panics: when the key's owner fail-stops mid-write, it returns an error
-// satisfying IsUnavailable (the write may or may not have landed — the
-// node took the answer with it), and the caller retries after the pool
-// reconfigures. Internal bookkeeping (entry locks, write registrations)
-// is always released before the error returns, so a failed TrySet never
-// wedges later writers.
-func (m *MultiClient) TrySet(key, value []byte) error {
-	var serr error
-	if err := catchUnavailable(func() { serr = m.set(key, value) }); err != nil {
-		return err
-	}
-	return serr
-}
-
-func (m *MultiClient) set(key, value []byte) error {
-	if m.mc.hot == nil {
-		m.setDirect(key, value)
-		return nil
-	}
-	m.drainPromotions()
-	if e := m.mc.hot.Lock(m.p, key); e != nil {
-		return m.setReplicated(e, key, value)
-	}
-	m.mc.hot.BeginWrite(key)
-	err := catchUnavailable(func() { m.setDirect(key, value) })
-	if err == nil {
-		err = m.resyncAfterWrite(key)
-	}
-	m.mc.hot.EndWrite(key)
-	return err
-}
-
-// setDirect is the unreplicated Set path. During a reshard the new owner
-// gets the write and any pre-reshard copy on the old owner is deleted,
-// so a later eviction of the fresh value cannot let the resharder
-// resurrect the superseded one. (The resharder's source CAS fails once
-// the old copy is gone, and its insert-if-absent never overwrites the
-// write; a write racing a migrated insert into a different slot may be
-// shadowed until the reshard's verification sweep — see the package
-// comment.)
-func (m *MultiClient) setDirect(key, value []byte) {
-	cur, old := m.owner(key)
-	c := m.clientFor(cur)
-	if c == nil {
-		// Reads degrade when a routed owner has no backing node (the miss
-		// is counted on a survivor), but a write has nowhere to land: the
-		// ring and the membership switch atomically, so this is a
-		// corrupted deployment — fail loudly and typed, not with a nil
-		// dereference (TrySet converts this back into an error).
-		panic(&NoOwnerError{Node: cur})
-	}
-	c.Set(key, value)
-	if old >= 0 {
-		if oc := m.clientFor(old); oc != nil {
-			// A pre-reshard copy on an old owner that fail-stops mid-delete
-			// died with the node — the cleanup's goal is already met.
-			_ = rdma.CatchUnreachable(func() { oc.Delete(key) })
-		}
-	}
-}
-
-// Delete removes key from its owning MN. A replicated key is demoted
-// first — its replicas are invalidated under the entry lock BEFORE the
-// primary copy is cleared, so no spread read can hit a replica after the
-// delete returns — and the span is registered like an unreplicated
-// write, so a promotion racing the delete publishes warming and is then
-// repaired before returning: resyncAfterWrite finds the primary gone
-// and demotes the entry.
-func (m *MultiClient) Delete(key []byte) bool {
-	if m.mc.hot == nil {
-		return m.deleteDirect(key)
-	}
-	e := m.mc.hot.Lock(m.p, key)
-	m.mc.hot.BeginWrite(key)
-	if e != nil {
-		m.demoteLocked(e)
-	}
-	ok := m.deleteDirect(key)
-	// The registration is released before a repair failure surfaces: a
-	// forever-registered write would pin a racing promotion's entry
-	// warming permanently.
-	err := m.resyncAfterWrite(key)
-	m.mc.hot.EndWrite(key)
-	raise(err)
-	return ok
-}
-
-// deleteDirect is the unreplicated Delete path. During a reshard both
-// owners are cleared, old copy first — that ordering, combined with the
-// resharder's verify-then-undo CAS discipline, ensures a racing
-// migration cannot durably resurrect the deleted key (the dead value may
-// flicker back for the few verb round trips between the resharder's
-// insert and its undo, but never outlives the reshard).
-func (m *MultiClient) deleteDirect(key []byte) bool {
-	cur, old := m.owner(key)
-	deleted := false
-	// An owner that fail-stops mid-delete achieves the deletion by dying:
-	// its copy is gone either way, so the unreachable error degrades to
-	// "nothing was there".
-	if old >= 0 {
-		if c := m.clientFor(old); c != nil {
-			_ = rdma.CatchUnreachable(func() { deleted = c.Delete(key) })
-		}
-	}
-	if c := m.clientFor(cur); c != nil {
-		_ = rdma.CatchUnreachable(func() {
-			if c.Delete(key) {
-				deleted = true
-			}
-		})
-	}
-	return deleted
-}
-
-// MDelete removes a batch of keys: one doorbell-batched MDelete per
-// owning MN. Replicated keys are demoted first (replicas invalidated
-// before any primary copy is cleared), the whole batch is registered,
-// and raced promotions are repaired after, per key, exactly as Delete
-// does.
-func (m *MultiClient) MDelete(keys [][]byte) []bool {
-	if m.mc.hot == nil {
-		return m.mdeleteDirect(keys)
-	}
-	for _, k := range keys {
-		e := m.mc.hot.Lock(m.p, k)
-		m.mc.hot.BeginWrite(k)
-		if e != nil {
-			m.demoteLocked(e)
-		}
-	}
-	out := m.mdeleteDirect(keys)
-	// Every registration is released — a repair failure on one key must
-	// not strand the rest of the batch registered — before the first
-	// failure surfaces.
-	var firstErr error
-	for _, k := range keys {
-		if err := m.resyncAfterWrite(k); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		m.mc.hot.EndWrite(k)
-	}
-	raise(firstErr)
-	return out
-}
-
-// mdeleteDirect is the unreplicated MDelete path. During a reshard each
-// windowed key is also cleared on its old owner FIRST, batched per old
-// owner, preserving Delete's per-key ordering (old copy before current
-// copy) so a racing migration cannot durably resurrect a deleted key.
-// Like MSet, the epoch is re-checked before each group: after a
-// mid-batch ring switch every remaining routing decision is stale, so
-// the rest re-routes per key — otherwise a key migrated to a new owner
-// between routing and issue would survive its own deletion.
-func (m *MultiClient) mdeleteDirect(keys [][]byte) []bool {
-	out := make([]bool, len(keys))
-	if len(keys) == 0 {
-		return out
-	}
-	snap := m.mc.snap()
-	groups := make(map[int][]int) // current owner → key indices
-	oldGroups := make(map[int][]int)
-	for i := range keys {
-		cur, old := snap.owner(keys[i])
-		groups[cur] = append(groups[cur], i)
-		if old >= 0 {
-			oldGroups[old] = append(oldGroups[old], i)
-		}
-	}
-	type delGroup struct {
-		owner int
-		idxs  []int
-		cur   bool // a current-owner group: completes its keys
-	}
-	var seq []delGroup
-	for _, owner := range snap.fanoutOrder(oldGroups) {
-		if idxs, ok := oldGroups[owner]; ok {
-			seq = append(seq, delGroup{owner: owner, idxs: idxs})
-		}
-	}
-	for _, owner := range snap.fanoutOrder(groups) {
-		if idxs, ok := groups[owner]; ok {
-			seq = append(seq, delGroup{owner: owner, idxs: idxs, cur: true})
-		}
-	}
-	done := make([]bool, len(keys)) // current-owner batch ran for this key
-	for _, g := range seq {
-		c := m.clientFor(g.owner)
-		if m.mc.snap().epoch != snap.epoch || (c == nil && g.cur) {
-			// The ring switched (or a current owner left the pool) while
-			// earlier groups' verbs were in flight. Delete routes at issue
-			// time — re-route every unfinished key per key, restoring the
-			// design's staleness bound (re-clearing an old copy is
-			// idempotent).
-			for i := range keys {
-				if !done[i] && m.Delete(keys[i]) {
-					out[i] = true
-				}
-			}
-			return out
-		}
-		if c == nil {
-			continue // an old owner left the pool: nothing to clear there
-		}
-		sub := make([][]byte, len(g.idxs))
-		for j, i := range g.idxs {
-			sub[j] = keys[i]
-		}
-		var oks []bool
-		if rdma.CatchUnreachable(func() { oks = c.MDelete(sub) }) != nil {
-			// The node fail-stopped mid-batch: every copy it held is gone,
-			// which is the post-state a delete wants. Presence answers for
-			// this group are lost (out stays false) and the keys are left
-			// not-done, so a concurrent ring switch re-routes them above.
-			continue
-		}
-		for j, ok := range oks {
-			if ok {
-				out[g.idxs[j]] = true
-			}
-		}
-		if g.cur {
-			for _, i := range g.idxs {
-				done[i] = true
-			}
-		}
-	}
-	return out
 }
 
 // Close flushes buffered client state on every connected MN. Flushes to

@@ -15,8 +15,15 @@ package core
 // primary and its replicas (spreading the RNIC load 1/(1+R)); writes go
 // through the primary first and then update every replica with
 // publish-CAS-ordered verb plans — the same setPlan/delPlan declared in
-// plan.go — executed under MultiCluster.ReplicaStrategy (exec.Serial or
-// exec.Doorbell, identical results).
+// plan.go — executed under the pool's one strategy setting
+// (MultiCluster.SetStrategy: exec.Doorbell or exec.Serial, identical
+// results).
+//
+// The layer plugs into MultiClient's routed pipelines (multi.go) as their
+// replication stage: spread serves the read pipeline, and the
+// replicated-write bracket — beginWrite … writeThrough | (routed write)
+// … endWrite — is opened and closed by the write and remove pipelines,
+// in exactly one place each.
 //
 // Observable equivalence with the unreplicated cache rests on one
 // invariant: AFTER ANY COMPLETED WRITE, EVERY COPY A SPREAD READ CAN
@@ -162,8 +169,8 @@ func (m *MultiClient) noteHotCandidate(key []byte, tenant TenantID, freq uint64)
 }
 
 // drainPromotions promotes every queued candidate. Called at the top of
-// Get/MGet/Set/MSet, so promotion verbs never extend the operation that
-// detected the hotness.
+// the read and write pipelines, so promotion verbs never extend the
+// operation that detected the hotness.
 func (m *MultiClient) drainPromotions() {
 	if len(m.promo) == 0 {
 		return
@@ -264,175 +271,147 @@ func (m *MultiClient) promote(key []byte, tenant TenantID) {
 	mc.Promotions++
 }
 
-// getSpread serves one read of a replicated key from its rotation-chosen
-// copy. served=false falls back to the routed (primary) path: the key is
-// not replicated, its entry is stale, the rotation chose the primary
-// itself, or the chosen replica missed (copy not yet materialized, or
-// evicted) — a replica miss is silent (getProbe), so the fall-back
-// counts exactly one logical operation, like an unreplicated Get.
-func (m *MultiClient) getSpread(key []byte) (val []byte, ok, served bool) {
-	mc := m.mc
-	e := mc.hot.Lookup(key)
+// stale reports whether e's replica set can no longer be trusted: the
+// ring moved under it (its epoch is old, or a reshard window is open), or
+// its primary copy was evicted — the cache dropped the key, so the
+// replicas must not resurrect it. Readers refuse to spread from a stale
+// entry and every toucher demotes it.
+func (m *MultiClient) stale(e *hotset.Entry) bool {
+	s := m.mc.snap()
+	return e.Epoch != s.epoch || s.oldRing != nil || e.Evicted
+}
+
+// spread is the read pipeline's replication stage: every key whose
+// rotation picks a replica is probed there — one stat-silent read per
+// chosen node — and served on a hit; every other index (unreplicated,
+// stale or warming entry, primary-targeted, or probe-missed: copy not yet
+// materialized, or evicted) is appended to pend for the routed path. A
+// replica miss is silent, so the fall-back counts exactly one logical
+// operation, like an unreplicated read.
+func (m *MultiClient) spread(sc *routeScratch, pend []int, keys, vals [][]byte, oks []bool, strat exec.Strategy) []int {
+	targets := sc.stable[:0]
+	for i := range keys {
+		if t := m.spreadTarget(keys[i]); t >= 0 {
+			sc.cur[i] = t
+			targets = append(targets, i)
+		} else {
+			pend = append(pend, i)
+		}
+	}
+	if len(targets) > 0 {
+		routed := len(pend)
+		pend = m.readGroups(sc, targets, sc.cur, keys, vals, oks, true, strat, pend)
+		m.mc.SpreadReads += int64(len(targets) - (len(pend) - routed))
+	}
+	return pend
+}
+
+// spreadTarget returns the replica node that should serve this read of
+// key, or -1 to send it down the routed (primary) path.
+func (m *MultiClient) spreadTarget(key []byte) int {
+	e := m.mc.hot.Lookup(key)
 	if e == nil {
-		return nil, false, false
+		return -1
 	}
-	if s := mc.snap(); e.Epoch != s.epoch || s.oldRing != nil {
-		m.demoteKey(key) // ring moved under the replica set
-		return nil, false, false
-	}
-	if e.Evicted {
-		// The primary copy was evicted: the cache dropped this key, so
-		// the replicas must not resurrect it. Dissolve them and fall back
-		// to the routed path (which will miss, as an unreplicated cache
-		// would).
+	if m.stale(e) {
 		m.demoteKey(key)
-		return nil, false, false
+		return -1
 	}
 	if e.Warming {
 		// Pre-entry writes may not have been repaired into the copies
 		// yet: serve through the primary until the entry validates.
 		e.NoteRead(m.p.Now())
-		return nil, false, false
+		return -1
 	}
-	target := e.ReadTarget(m.p.Now())
-	if target == e.Primary {
-		return nil, false, false
+	t := e.ReadTarget(m.p.Now())
+	if t == e.Primary || m.clientFor(t) == nil {
+		return -1
 	}
-	c := m.clientFor(target)
-	if c == nil {
-		return nil, false, false
-	}
-	var v []byte
-	var hit bool
-	if rdma.CatchUnreachable(func() { v, hit = c.getProbe(key) }) != nil {
-		// The replica fail-stopped mid-probe: its copy died with it. Fall
-		// back to the primary; the stale entry demotes on a later touch.
-		return nil, false, false
-	}
-	if hit {
-		mc.SpreadReads++
-		return v, true, true
-	}
-	return nil, false, false
+	return t
 }
 
-// mgetSpread is getSpread over a batch: replica-targeted keys are probed
-// with one batched stat-silent MGet per chosen node, hits fill
-// vals/oks, and every other index — unreplicated, stale-entry,
-// primary-targeted, or probe-missed — is returned for the routed path.
-func (m *MultiClient) mgetSpread(keys [][]byte, vals [][]byte, oks []bool) []int {
-	mc := m.mc
-	remaining := make([]int, 0, len(keys))
-	var groups map[int][]int
-	for i := range keys {
-		e := mc.hot.Lookup(keys[i])
-		if e == nil {
-			remaining = append(remaining, i)
-			continue
+// beginWrite opens the replicated-write bracket for one key of a write
+// or remove. It returns key's entry, LOCKED, when the write must go
+// through it (writeThrough); otherwise it returns nil with the key
+// REGISTERED as an unreplicated write in flight (hotset.BeginWrite — in
+// the same scheduling slice as the entry's absence, so a promotion
+// published later provably sees the registration and comes up warming),
+// and the caller closes the bracket with endWrite after its routed verbs.
+//
+// An entry is dissolved rather than written through when the operation
+// is a remove (replicas are invalidated under the entry lock BEFORE the
+// primary copy is cleared), when it is stale, when its writes have
+// overtaken its spread reads (the 1+R-copy fan-out costs more than
+// spreading recovers), or when its tenant went over quota since
+// promotion (demotion dissolves the 1+R-copy amplification of its
+// footprint, the same direction quota eviction pushes from below). The
+// demote's invalidation completes before the registered write begins.
+func (m *MultiClient) beginWrite(key []byte, remove bool) *hotset.Entry {
+	hot := m.mc.hot
+	if e := hot.Lock(m.p, key); e != nil {
+		e.Writes++
+		writeHeavy := e.Writes >= demoteMinWrites && e.Writes > demoteWriteReadRatio*e.Reads
+		if !remove && !m.stale(e) && !writeHeavy && !m.mc.TenantOverQuota(TenantID(e.Tenant)) {
+			return e
 		}
-		if s := mc.snap(); e.Epoch != s.epoch || s.oldRing != nil || e.Evicted {
-			m.demoteKey(keys[i])
-			remaining = append(remaining, i)
-			continue
-		}
-		if e.Warming {
-			e.NoteRead(m.p.Now())
-			remaining = append(remaining, i)
-			continue
-		}
-		target := e.ReadTarget(m.p.Now())
-		if target == e.Primary || m.clientFor(target) == nil {
-			remaining = append(remaining, i)
-			continue
-		}
-		if groups == nil {
-			groups = make(map[int][]int)
-		}
-		groups[target] = append(groups[target], i)
-	}
-	for _, node := range mc.snap().fanoutOrder(groups) {
-		idxs, ok := groups[node]
-		if !ok {
-			continue
-		}
-		missed, ran := m.mgetGroup(node, idxs, keys, vals, oks, true)
-		if ran {
-			mc.SpreadReads += int64(len(idxs) - len(missed))
-		}
-		remaining = append(remaining, missed...)
-	}
-	return remaining
-}
-
-// setReplicated writes one replicated key with e's lock HELD, in
-// invalidate-first order: delete every replica copy, publish the
-// primary's CAS, then re-materialize the replicas. From the moment the
-// new value is readable on the primary, every replica is empty or
-// already updated — a spread read can never return the superseded
-// value, and after the unlock every copy equals this write. Stale and
-// write-heavy entries are demoted instead (the demote's invalidation
-// also completes before the write returns).
-func (m *MultiClient) setReplicated(e *hotset.Entry, key, value []byte) error {
-	mc := m.mc
-	// An Evicted entry counts as stale: its primary copy is gone, so the
-	// copy set must be dissolved before this write lands unreplicated.
-	route := mc.snap()
-	stale := e.Epoch != route.epoch || route.oldRing != nil || e.Evicted
-	e.Writes++
-	writeHeavy := e.Writes >= demoteMinWrites && e.Writes > demoteWriteReadRatio*e.Reads
-	// A tenant that went over quota since promotion loses its replica
-	// copies on the next write-through: demotion dissolves the 1+R-copy
-	// amplification of its footprint, the same direction quota eviction
-	// pushes from below.
-	overQuota := mc.TenantOverQuota(TenantID(e.Tenant))
-	if stale || writeHeavy || overQuota {
-		// Demote, then store unreplicated — registered for the store's
-		// span exactly like Set's no-entry branch, so a promotion that
-		// re-publishes this key mid-store comes up warming and is
-		// repaired before this write returns. A node fail-stop mid-store
-		// must not leak the registration (a forever-registered write
-		// would pin the entry warming permanently), so the registration
-		// is released before the typed failure resurfaces.
 		m.demoteLocked(e)
-		mc.hot.BeginWrite(key)
-		err := catchUnavailable(func() { m.setDirect(key, value) })
-		if err == nil {
-			err = m.resyncAfterWrite(key)
-		}
-		mc.hot.EndWrite(key)
-		return err
 	}
+	hot.BeginWrite(key)
+	return nil
+}
+
+// endWrite closes the bracket beginWrite left open on a registered key:
+// repair any entry a racing promotion published meanwhile (skipped when
+// the write itself failed — there is nothing new to push), then
+// unregister. The registration is released before a repair failure
+// surfaces: a forever-registered write would pin a racing promotion's
+// entry warming permanently.
+func (m *MultiClient) endWrite(key []byte, repair bool) error {
+	var err error
+	if repair {
+		err = m.resyncAfterWrite(key)
+	}
+	m.mc.hot.EndWrite(key)
+	return err
+}
+
+// writeThrough writes pairs[i] — a replicated key — with e's lock HELD,
+// in invalidate-first order: delete every replica copy, publish the
+// primary's CAS (a routed write of one, so a ring switch mid-write still
+// lands on the right owner), then re-materialize the replicas. From the
+// moment the new value is readable on the primary, every replica is
+// empty or already updated — a spread read can never return the
+// superseded value, and after the unlock every copy equals this write.
+func (m *MultiClient) writeThrough(e *hotset.Entry, pairs []KV, i int) error {
 	m.invalidateReplicas(e) // replicas empty before the new value is readable
-	if err := catchUnavailable(func() { m.setDirect(key, value) }); err != nil {
-		// The primary's owner fail-stopped before the write landed. The
-		// replicas are already invalidated — no copy can serve the old
-		// value — so dissolving the entry (which releases the lock, so
-		// future writers are not deadlocked behind a live-but-failed
-		// owner) leaves the key simply absent, then the typed failure
-		// surfaces to the caller.
+	one := [1]int{i}
+	err := catchUnavailable(func() { m.writeRouted(pairs, one[:], exec.Serial) })
+	if err == nil {
+		err = m.updateReplicas(e, pairs[i].Key, pairs[i].Value)
+	}
+	if err != nil {
+		// Either the primary's owner fail-stopped before the write landed
+		// — the replicas are already invalidated, so no copy can serve
+		// the old value — or the primary holds the new value but the
+		// fan-out could not be driven to completion (a misconfigured
+		// table). Dissolving the entry releases the lock (future writers
+		// are not deadlocked behind a live-but-failed owner) and leaves
+		// the key correct unreplicated; then the typed failure surfaces.
 		m.demoteLocked(e)
 		return err
 	}
-	if err := m.updateReplicas(e, key, value); err != nil {
-		// The primary holds the new value but the fan-out could not be
-		// driven to completion (a misconfigured table). Dissolve the
-		// copy set — the key stays correct unreplicated — and surface
-		// the configuration fault.
-		m.demoteLocked(e)
-		return err
-	}
-	if e.Warming && mc.hot.InflightWrites(key) == 0 {
+	if e.Warming && m.mc.hot.InflightWrites(pairs[i].Key) == 0 {
 		// Every pre-entry writer has completed (and repaired): our
 		// fan-out just made all copies equal to the primary, so the
 		// entry is safe to spread from.
 		e.Warming = false
 	}
-	mc.hot.Unlock(e)
+	m.mc.hot.Unlock(e)
 	return nil
 }
 
 // updateReplicas stores (key, value) on every replica node of e as a
-// fan-out of ordinary setPlans (plan.go) run under ReplicaStrategy; any
+// fan-out of ordinary setPlans (plan.go) run under the pool's strategy; any
 // plan that hits a complication (full bucket, lost CAS) finishes through
 // the serial retry path, exactly as a client Set would. Replica stores
 // are maintenance: they keep the per-node copies, but do not count as
@@ -460,7 +439,7 @@ func (m *MultiClient) updateReplicas(e *hotset.Entry, key, value []byte) error {
 	// has partial semantics: live siblings' verbs applied, the dead
 	// node's did not; the per-replica finish below drives each survivor
 	// to completion from whatever outcome its plan reached.)
-	_ = rdma.CatchUnreachable(func() { exec.Run(m.mc.ReplicaStrategy, run...) })
+	_ = rdma.CatchUnreachable(func() { m.runner.RunPlans(m.mc.strategy, run) })
 	// A store that exhausts its retry budget (ErrNoProgress: a
 	// misconfigured table) is remembered but does not abandon the
 	// remaining replicas mid-store; the caller demotes the entry, so no
@@ -505,7 +484,7 @@ func (m *MultiClient) finishReplicaStore(c *Client, key, value []byte, pl *setPl
 			return fmt.Errorf("%w: replica store stalled (table misconfigured?)", ErrNoProgress)
 		}
 		pl = c.newSetPlan(key, value)
-		exec.RunSerial(pl)
+		c.runner.Serial.Run(pl)
 	}
 }
 
@@ -522,7 +501,7 @@ func (m *MultiClient) readQuiet(node int, key []byte) ([]byte, bool) {
 	if rdma.CatchUnreachable(func() {
 		for attempt := 0; attempt < getRetries; attempt++ {
 			pl := c.newGetPlan(key)
-			exec.RunSerial(pl)
+			c.runner.Serial.Run(pl)
 			if pl.hit {
 				val, hit = append([]byte(nil), pl.dec.value...), true
 				return
@@ -541,7 +520,7 @@ func (m *MultiClient) readQuiet(node int, key []byte) ([]byte, bool) {
 }
 
 // invalidateReplicas deletes every replica copy of e — a fan-out of
-// delPlans (plan.go) under ReplicaStrategy. delPlans have no fallback
+// delPlans (plan.go) under the pool's strategy. delPlans have no fallback
 // edges (a lost delete CAS means someone else already removed or
 // replaced that copy), so one pass suffices. Replica nodes that left the
 // pool are skipped: their copies left with them.
@@ -558,7 +537,7 @@ func (m *MultiClient) invalidateReplicas(e *hotset.Entry) {
 		// invalidation establishes. Live siblings' deletes still apply
 		// (partial doorbell semantics), so the invariant — no spreadable
 		// copy holds a superseded value — survives the crash.
-		_ = rdma.CatchUnreachable(func() { exec.Run(m.mc.ReplicaStrategy, run...) })
+		_ = rdma.CatchUnreachable(func() { m.runner.RunPlans(m.mc.strategy, run) })
 	}
 }
 
@@ -588,7 +567,7 @@ func (m *MultiClient) resyncAfterWrite(key []byte) error {
 	if e == nil {
 		return nil
 	}
-	if s := m.mc.snap(); e.Epoch != s.epoch || s.oldRing != nil || e.Evicted {
+	if m.stale(e) {
 		m.demoteLocked(e)
 		return nil
 	}

@@ -35,7 +35,7 @@ func TestReplicatedEquivalenceDuringLiveReshard(t *testing.T) {
 			const n = 400
 			env := sim.NewEnv(31)
 			mc := NewMultiCluster(env, 4, hotOptions(4*n))
-			mc.ReplicaStrategy = strat
+			mc.SetStrategy(strat)
 			mc.EnableHotKeyReplication(2, 4, 64)
 			model := make(map[string][]byte)
 			risky := make(map[string]bool) // deletes that raced the reshard window
@@ -194,7 +194,7 @@ func TestReplicatedMatchesUnreplicated(t *testing.T) {
 		env := sim.NewEnv(5)
 		mc := NewMultiCluster(env, 3, hotOptions(3*n))
 		if enable {
-			mc.ReplicaStrategy = strat
+			mc.SetStrategy(strat)
 			mc.EnableHotKeyReplication(2, 3, 32)
 		}
 		var o obs
@@ -273,7 +273,7 @@ func testMonotonicSpreadReads(t *testing.T, strat exec.Strategy, seed int64) {
 	const hotKeys = 4
 	env := sim.NewEnv(seed)
 	mc := NewMultiCluster(env, 4, hotOptions(2000))
-	mc.ReplicaStrategy = strat
+	mc.SetStrategy(strat)
 	mc.EnableHotKeyReplication(3, 3, 32)
 	version := func(v []byte) int {
 		n := 0

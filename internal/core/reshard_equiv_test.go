@@ -27,7 +27,7 @@ func TestMultiMSetMDeleteDuringLiveReshard(t *testing.T) {
 		t.Run(strat.String(), func(t *testing.T) {
 			env := sim.NewEnv(6)
 			mc := NewMultiCluster(env, 2, DefaultOptions(4000, 4000*320))
-			mc.ReshardStrategy = strat
+			mc.SetStrategy(strat)
 			model := make(map[string][]byte)
 			// Keys whose deletion raced the reshard window: exempt from
 			// strict absence checks until the reshard completes.
@@ -131,7 +131,7 @@ func TestReshardStrategiesIdenticalAndDoorbellFaster(t *testing.T) {
 	run := func(strat exec.Strategy) (map[string]string, int64, int64) {
 		env := sim.NewEnv(13)
 		mc := NewMultiCluster(env, 2, DefaultOptions(2*n, 2*n*320))
-		mc.ReshardStrategy = strat
+		mc.SetStrategy(strat)
 		final := make(map[string]string)
 		env.Go("c", func(p *sim.Proc) {
 			c := mc.NewClient(p)
@@ -221,7 +221,7 @@ func TestSerialReshardKeepsKeysUnderLoad(t *testing.T) {
 	env := sim.NewEnv(9)
 	const n = 300
 	mc := NewMultiCluster(env, 2, DefaultOptions(1500, 1500*320))
-	mc.ReshardStrategy = exec.Serial
+	mc.SetStrategy(exec.Serial)
 	env.Go("c", func(p *sim.Proc) {
 		c := mc.NewClient(p)
 		for i := 0; i < n; i++ {

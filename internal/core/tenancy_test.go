@@ -120,7 +120,7 @@ func TestQuotaVictimChoiceStrategyEquivalent(t *testing.T) {
 			usage = [2]int64{cl.TenantUsage(1), cl.TenantUsage(2)}
 			probe := func(k []byte) {
 				pl := noisy.newGetPlan(k)
-				exec.RunSerial(pl)
+				noisy.runner.Serial.Run(pl)
 				if pl.hit {
 					survivors[string(k)] = true
 				}

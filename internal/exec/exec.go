@@ -90,38 +90,6 @@ type Plan interface {
 	Absorb(res []Result)
 }
 
-// Run executes the plans under the strategy until every plan finishes
-// (Step returns an empty group). Under Serial the plans run one after
-// another to completion; under Doorbell they advance together in
-// lock-step rounds. Either way, every plan's Absorb has seen the
-// completion of every verb it emitted by the time Run returns.
-func Run(s Strategy, plans ...Plan) {
-	if s == Doorbell {
-		RunDoorbell(plans)
-		return
-	}
-	for _, p := range plans {
-		RunSerial(p)
-	}
-}
-
-// RunSerial drives one plan to completion with synchronous verbs: each
-// verb of a group costs queueing plus one RTT, exactly as the hand-written
-// per-key paths did.
-func RunSerial(p Plan) {
-	for {
-		vs := p.Step(false)
-		if len(vs) == 0 {
-			return
-		}
-		res := make([]Result, len(vs))
-		for i, v := range vs {
-			res[i] = issueSync(v)
-		}
-		p.Absorb(res)
-	}
-}
-
 // issueSync issues one verb through the endpoint's synchronous API.
 func issueSync(v Verb) Result {
 	switch v.Op.Kind {
@@ -139,10 +107,11 @@ func issueSync(v Verb) Result {
 	panic("exec: unknown verb kind")
 }
 
-// Runner is the pooled form of Run: one per client (or reclaimer), so
-// its scratch is single-proc-owned and steady-state execution allocates
-// nothing. The free functions Run/RunSerial/RunDoorbell remain as the
-// allocate-per-call form for tests and cold paths.
+// Runner executes plans under either strategy: one per client (or
+// reclaimer, or test), so its scratch is single-proc-owned and
+// steady-state execution allocates nothing. The zero value is ready to
+// use. Every plan's Absorb has seen the completion of every verb it
+// emitted by the time a run returns.
 //
 // Plans driven through a Runner must not retain the []Result slice
 // passed to Absorb past the Absorb call — it is recycled for the next
@@ -154,8 +123,7 @@ type Runner struct {
 	one      [1]Plan
 }
 
-// RunOne drives a single plan under the strategy, like Run(s, p) but
-// through the pooled runners.
+// RunOne drives a single plan to completion under the strategy.
 func (r *Runner) RunOne(s Strategy, p Plan) {
 	if s == Doorbell {
 		r.one[0] = p
@@ -166,8 +134,9 @@ func (r *Runner) RunOne(s Strategy, p Plan) {
 	r.Serial.Run(p)
 }
 
-// RunPlans drives a set of plans under the strategy, like Run(s,
-// plans...) but through the pooled runners.
+// RunPlans drives a set of plans under the strategy until every plan
+// finishes (Step returns an empty group): one after another under
+// Serial, together in lock-step rounds under Doorbell.
 func (r *Runner) RunPlans(s Strategy, plans []Plan) {
 	if s == Doorbell {
 		r.Doorbell.Run(plans)
@@ -178,16 +147,16 @@ func (r *Runner) RunPlans(s Strategy, plans []Plan) {
 	}
 }
 
-// SerialRunner is RunSerial with a stack of reusable per-stage result
-// buffers. The stack makes it re-entrant: an Absorb that starts a nested
-// serial run (a Set falling into inline eviction) pops its own buffers
-// and returns them before the outer stage resumes.
+// SerialRunner drives plans with synchronous verbs — each verb of a
+// group costs queueing plus one RTT — over a stack of reusable per-stage
+// result buffers. The stack makes it re-entrant: an Absorb that starts a
+// nested serial run (a Set falling into inline eviction) pops its own
+// buffers and returns them before the outer stage resumes.
 type SerialRunner struct {
 	free [][]Result
 }
 
-// Run drives one plan to completion as RunSerial does, without the
-// per-stage allocation.
+// Run drives one plan to completion.
 func (r *SerialRunner) Run(p Plan) {
 	for {
 		vs := p.Step(false)
@@ -226,78 +195,6 @@ type readKey struct {
 	len  int
 }
 
-// RunDoorbell drives the plans in lock-step rounds. Each round collects
-// every unfinished plan's next verb group, posts one doorbell batch per
-// endpoint (endpoints in first-use order, verbs in plan order) with the
-// round trips overlapped across endpoints too (rdma.PostMulti — queue
-// pairs to different nodes are independent, so a round spanning the
-// migration source and several destinations still costs ~one RTT),
-// scatters the completions back, and lets every plan absorb before the
-// next round begins. Plans at different stages coexist in a round — a
-// plan that skips a stage (no candidate objects to read) posts its next
-// stage's verbs alongside the others', which only merges doorbells,
-// never reorders one plan's own verbs. Identical READs across plans are
-// issued once; WRITE/CAS/FAA are never deduplicated.
-func RunDoorbell(plans []Plan) {
-	type pending struct {
-		plan  Plan
-		slots []slot
-	}
-	active := make([]Plan, 0, len(plans))
-	active = append(active, plans...)
-	for len(active) > 0 {
-		var round []pending
-		var order []*epBatch
-		batches := make(map[*rdma.Endpoint]*epBatch)
-		next := active[:0]
-		for _, p := range active {
-			vs := p.Step(true)
-			if len(vs) == 0 {
-				continue // plan finished
-			}
-			pd := pending{plan: p, slots: make([]slot, len(vs))}
-			for i, v := range vs {
-				b := batches[v.EP]
-				if b == nil {
-					b = &epBatch{ep: v.EP, reads: make(map[readKey]int)}
-					batches[v.EP] = b
-					order = append(order, b)
-				}
-				if v.Op.Kind == rdma.BatchRead {
-					k := readKey{addr: v.Op.Addr, len: v.Op.Len}
-					if j, seen := b.reads[k]; seen {
-						pd.slots[i] = slot{ep: v.EP, idx: j}
-						continue
-					}
-					b.reads[k] = len(b.ops)
-				}
-				pd.slots[i] = slot{ep: v.EP, idx: len(b.ops)}
-				b.ops = append(b.ops, v.Op)
-			}
-			round = append(round, pd)
-			next = append(next, p)
-		}
-		if len(round) == 0 {
-			return
-		}
-		posts := make([]rdma.EndpointBatch, len(order))
-		for i, b := range order {
-			posts[i] = rdma.EndpointBatch{EP: b.ep, Ops: b.ops}
-		}
-		for i, res := range rdma.PostMulti(posts) {
-			order[i].res = res
-		}
-		for _, pd := range round {
-			res := make([]Result, len(pd.slots))
-			for i, s := range pd.slots {
-				res[i] = batches[s.ep].res[s.idx]
-			}
-			pd.plan.Absorb(res)
-		}
-		active = next
-	}
-}
-
 // dbPending is one plan's share of a pooled doorbell round: its verbs
 // occupy slots [lo, hi) of the runner's slot arena. Ranges (not
 // subslices) because the arena may grow while later plans append.
@@ -306,13 +203,25 @@ type dbPending struct {
 	lo, hi int
 }
 
-// DoorbellRunner is RunDoorbell with every piece of round state —
-// the active set, the per-endpoint batches and their result slices, the
-// slot arena, the post list — retained across runs, so a steady-state
-// round allocates nothing (results land in place via
-// rdma.PostMultiInPlace). Re-entrant runs (an Absorb that falls into
-// doorbell-strategy eviction) take the classic allocating path rather
-// than clobbering the in-flight round's state.
+// DoorbellRunner drives plans in lock-step rounds. Each round collects
+// every unfinished plan's next verb group, posts one doorbell batch per
+// endpoint (endpoints in first-use order, verbs in plan order) with the
+// round trips overlapped across endpoints too (queue pairs to different
+// nodes are independent, so a round spanning the migration source and
+// several destinations still costs ~one RTT), scatters the completions
+// back, and lets every plan absorb before the next round begins. Plans
+// at different stages coexist in a round — a plan that skips a stage (no
+// candidate objects to read) posts its next stage's verbs alongside the
+// others', which only merges doorbells, never reorders one plan's own
+// verbs. Identical READs across plans are issued once; WRITE/CAS/FAA are
+// never deduplicated.
+//
+// Every piece of round state — the active set, the per-endpoint batches
+// and their result slices, the slot arena, the post list — is retained
+// across runs, so a steady-state round allocates nothing (results land
+// in place via rdma.PostMultiInPlace). A re-entrant run (an Absorb that
+// falls into doorbell-strategy eviction) gets a fresh runner of its own
+// rather than clobbering the in-flight round's state.
 type DoorbellRunner struct {
 	busy    bool
 	active  []Plan
@@ -325,11 +234,11 @@ type DoorbellRunner struct {
 	res     []Result
 }
 
-// Run drives the plans exactly as RunDoorbell does — same rounds, same
-// dedup, same posting order — reusing the runner's scratch.
+// Run drives the plans to completion.
 func (r *DoorbellRunner) Run(plans []Plan) {
 	if r.busy {
-		RunDoorbell(plans)
+		var nested DoorbellRunner
+		nested.Run(plans)
 		return
 	}
 	r.busy = true

@@ -31,7 +31,8 @@ func (p *scriptPlan) Step(eager bool) []Verb {
 	return g
 }
 
-func (p *scriptPlan) Absorb(res []Result) { p.got = append(p.got, res) }
+// Absorb copies res: the runners recycle the slice for the next stage.
+func (p *scriptPlan) Absorb(res []Result) { p.got = append(p.got, append([]Result(nil), res...)) }
 
 func testNode(env *sim.Env) *rdma.Node {
 	return rdma.NewNode(env, 1<<16, rdma.DefaultConfig())
@@ -60,7 +61,7 @@ func TestSerialRunsPlanToCompletion(t *testing.T) {
 			{write(ep, 0, []byte("hello"))},
 			{read(ep, 0, 5), read(ep, 0, 2)},
 		}}
-		RunSerial(pl)
+		new(Runner).Serial.Run(pl)
 		if len(pl.got) != 2 {
 			t.Fatalf("absorbed %d groups, want 2", len(pl.got))
 		}
@@ -94,7 +95,7 @@ func TestDoorbellOneBatchPerRound(t *testing.T) {
 				{read(ep, addr, 1)},
 			}})
 		}
-		RunDoorbell(plans)
+		new(Runner).Doorbell.Run(plans)
 		if n.Stats.DoorbellBatches != 2 {
 			t.Fatalf("posted %d doorbells, want 2 (one per round)", n.Stats.DoorbellBatches)
 		}
@@ -123,7 +124,7 @@ func TestDoorbellDedupsIdenticalReads(t *testing.T) {
 		copy(n.Mem()[0:], "shared!!")
 		a := &scriptPlan{stopAt: -1, groups: [][]Verb{{read(ep, 0, 8)}}}
 		b := &scriptPlan{stopAt: -1, groups: [][]Verb{{read(ep, 0, 8), read(ep, 8, 8)}}}
-		RunDoorbell([]Plan{a, b})
+		new(Runner).Doorbell.Run([]Plan{a, b})
 		if n.Stats.Reads != 2 {
 			t.Fatalf("issued %d READs, want 2 (shared read deduped)", n.Stats.Reads)
 		}
@@ -147,7 +148,7 @@ func TestDoorbellMultiEndpoint(t *testing.T) {
 		pl := &scriptPlan{stopAt: -1, groups: [][]Verb{
 			{read(ep1, 0, 3), read(ep2, 0, 3)},
 		}}
-		RunDoorbell([]Plan{pl})
+		new(Runner).Doorbell.Run([]Plan{pl})
 		if !bytes.Equal(pl.got[0][0].Data, []byte("one")) || !bytes.Equal(pl.got[0][1].Data, []byte("two")) {
 			t.Fatalf("cross-node results misrouted: %q %q", pl.got[0][0].Data, pl.got[0][1].Data)
 		}
@@ -167,7 +168,7 @@ func TestDoorbellPlanOrderPreserved(t *testing.T) {
 		ep := rdma.NewEndpoint(n, p)
 		a := &scriptPlan{stopAt: -1, groups: [][]Verb{{cas(ep, 0, 0, 11)}}}
 		b := &scriptPlan{stopAt: -1, groups: [][]Verb{{cas(ep, 0, 0, 22)}}}
-		RunDoorbell([]Plan{a, b})
+		new(Runner).Doorbell.Run([]Plan{a, b})
 		if !a.got[0][0].Swapped {
 			t.Fatal("first plan's CAS lost")
 		}
@@ -191,7 +192,7 @@ func TestShortCircuitSkipsRemainingStages(t *testing.T) {
 				{read(ep, 0, 4)},
 				{read(ep, 8, 4)}, // must never be issued
 			}}
-			Run(s, pl)
+			new(Runner).RunOne(s, pl)
 			if len(pl.got) != 1 || n.Stats.Reads != 1 {
 				t.Fatalf("%v: absorbed %d groups with %d READs, want 1/1",
 					s, len(pl.got), n.Stats.Reads)
@@ -203,16 +204,59 @@ func TestShortCircuitSkipsRemainingStages(t *testing.T) {
 
 // TestRunEmpty covers degenerate inputs.
 func TestRunEmpty(t *testing.T) {
-	RunDoorbell(nil)
-	Run(Serial)
+	new(Runner).RunPlans(Doorbell, nil)
+	new(Runner).RunPlans(Serial, nil)
 	env := sim.NewEnv(7)
 	n := testNode(env)
 	env.Go("c", func(p *sim.Proc) {
 		pl := &scriptPlan{stopAt: -1} // no groups at all
-		Run(Doorbell, pl)
-		RunSerial(pl)
+		new(Runner).RunOne(Doorbell, pl)
+		new(Runner).RunOne(Serial, pl)
 		if n.Stats.Total() != 0 {
 			t.Fatal("empty plans issued verbs")
+		}
+	})
+	env.Run()
+}
+
+// nestingPlan runs inner on the SAME doorbell runner from inside its
+// Absorb — the shape of a completion hook falling into doorbell-strategy
+// work while the outer round's state is live.
+type nestingPlan struct {
+	scriptPlan
+	r     *DoorbellRunner
+	inner []Plan
+}
+
+func (p *nestingPlan) Absorb(res []Result) {
+	p.scriptPlan.Absorb(res)
+	p.r.Run(p.inner)
+}
+
+// TestDoorbellReentrantRun checks a nested Run on a busy runner completes
+// its plans without disturbing the outer round: both see their own
+// completions, and the outer plan still advances to its later stage.
+func TestDoorbellReentrantRun(t *testing.T) {
+	env := sim.NewEnv(8)
+	n := testNode(env)
+	env.Go("c", func(p *sim.Proc) {
+		ep := rdma.NewEndpoint(n, p)
+		copy(n.Mem()[0:], "outerinner")
+		var r Runner
+		inner := &scriptPlan{stopAt: -1, groups: [][]Verb{{read(ep, 5, 5)}}}
+		outer := &nestingPlan{r: &r.Doorbell, inner: []Plan{inner}, scriptPlan: scriptPlan{
+			stopAt: 0, groups: [][]Verb{{read(ep, 0, 5)}},
+		}}
+		sibling := &scriptPlan{stopAt: -1, groups: [][]Verb{{read(ep, 0, 2)}, {read(ep, 2, 3)}}}
+		r.Doorbell.Run([]Plan{outer, sibling})
+		if len(inner.got) != 1 || !bytes.Equal(inner.got[0][0].Data, []byte("inner")) {
+			t.Fatalf("nested run absorbed %v", inner.got)
+		}
+		if !bytes.Equal(outer.got[0][0].Data, []byte("outer")) {
+			t.Fatalf("outer plan read %q", outer.got[0][0].Data)
+		}
+		if len(sibling.got) != 2 || !bytes.Equal(sibling.got[1][0].Data, []byte("ter")) {
+			t.Fatalf("sibling plan derailed by the nested run: %v", sibling.got)
 		}
 	})
 	env.Run()

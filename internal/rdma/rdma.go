@@ -30,9 +30,9 @@ import (
 
 // Config holds the fabric's timing model. The defaults are calibrated so
 // that the reproduction exhibits the paper's resource-saturation shapes
-// (see DESIGN.md §2): a ~2 µs RTT and an RNIC message rate in the tens of
-// millions of messages per second, against MN CPU cores that serve roughly
-// half a million RPCs per second each.
+// (see docs/ARCHITECTURE.md, "The substrate"): a ~2 µs RTT and an RNIC
+// message rate in the tens of millions of messages per second, against MN
+// CPU cores that serve roughly half a million RPCs per second each.
 type Config struct {
 	// RTT is the network round-trip time charged to every synchronous verb.
 	RTT int64

@@ -10,7 +10,8 @@ import (
 
 // This file loads real trace files for users who have them (the paper's
 // IBM/CloudPhysics/Twitter/FIU suites are not redistributable; the
-// synthetic stand-ins in traces.go are used by default — DESIGN.md §2).
+// synthetic stand-ins in traces.go are used by default — see
+// docs/ARCHITECTURE.md, "Evaluation").
 //
 // Two formats are supported:
 //

@@ -3,7 +3,7 @@
 // (θ = 0.99), and a family of synthetic traces reproducing the recency/
 // frequency regimes of the real-world trace suites (FIU webmail, Twitter
 // compute/storage/transient, IBM object store, CloudPhysics) — see Table 2
-// and DESIGN.md §2 for the substitution rationale.
+// and docs/ARCHITECTURE.md ("Evaluation") for the substitution rationale.
 package workload
 
 import (
