@@ -2,8 +2,8 @@
 // heap allocation may appear in the pooled plan methods or the pooled
 // executor's run loops.
 //
-// The perf PR that introduced plan pooling (acquire → reset → run →
-// release, internal/core/pool.go) and the pooled runners
+// The perf PR that introduced plan pooling (get → reset → run → put,
+// internal/core/pool.go) and the pooled runners
 // (exec.Runner/SerialRunner/DoorbellRunner) got steady-state Get and
 // Set to 0 allocs/op, and internal/core/allocs_test.go pins that
 // number. But the alloc-ceiling test only covers the operations it
@@ -29,7 +29,8 @@
 //     functions are not run loops and stay unswept;
 //   - in ditto/internal/core: methods on the plan types (receiver type
 //     name ending in "Plan") — Step, Absorb, reset, and the stage
-//     helpers they call through the receiver.
+//     helpers they call through the receiver — and on keyWalk, the
+//     lookup stage the keyed plans embed.
 //
 // Deliberate allocations — pool-growth on a free-list miss, a
 // once-per-runner map init, a cold ablation branch — state why with
@@ -79,7 +80,7 @@ func hotFunc(path string, fd *ast.FuncDecl) bool {
 	case "ditto/internal/exec":
 		return name == "Runner" || name == "SerialRunner" || name == "DoorbellRunner"
 	case "ditto/internal/core":
-		return strings.HasSuffix(name, "Plan")
+		return strings.HasSuffix(name, "Plan") || name == "keyWalk"
 	case "ditto/internal/fairness":
 		// The multi-tenant wrapper sits on every tenant-path op: its
 		// Get/Set must stay alloc-free too (retained scratch, GetAppend).

@@ -14,10 +14,14 @@ package core
 //	         object WRITEs, publishing CASes)
 //	MDelete: up to 3 doorbells (bucket READs, object READs, delete CASes)
 //
-// Races are resolved exactly as in the serial paths: a key whose snapshot
-// went stale, whose publishing CAS lost, or whose buckets were full
-// re-runs the same plan through the serial drivers' bounded retry loops,
-// so batched and serial operations are observably equivalent.
+// Races are resolved exactly as in the serial paths: a key whose
+// speculative image was rejected, whose snapshot went stale, whose
+// publishing CAS lost, or whose buckets were full is demoted to the ONE
+// serial driver of its operation (Client.get, Client.set — the bounded
+// retry loops of client.go), so batched and serial operations are
+// observably equivalent. A demoted key keeps the BATCH's start as its
+// latency clock: the doorbell rounds it already sat through are part of
+// what the caller waited for.
 
 import "ditto/internal/exec"
 
@@ -64,16 +68,16 @@ func (c *Client) MGet(keys [][]byte) ([][]byte, []bool) {
 func (c *Client) mget(keys [][]byte, idxs []int, vals [][]byte, oks []bool, probe bool, strat exec.Strategy) {
 	if strat == exec.Serial {
 		for _, i := range idxs {
-			vals[i], oks[i] = c.get(keys[i], probe, nil)
+			vals[i], oks[i] = c.get(keys[i], probe, nil, c.p.Now())
 		}
 		return
 	}
 	start := c.p.Now()
 	// Pooled plans and run scratch. Under doorbell dedup one plan's READ
 	// result can alias another plan's buffer, so every plan stays
-	// acquired until the whole batch's outputs are consumed (pool.go
-	// rule 1); the serial fallbacks below draw from the same free lists
-	// but never touch plans still held here. specIdx/getIdx map each
+	// out of the pool until the whole batch's outputs are consumed (pool.go
+	// rule 1); the serial fallbacks below draw from the same pools but
+	// never touch plans still held here. specIdx/getIdx map each
 	// in-flight plan back to its key index.
 	plans := c.getPlans[:0]
 	specs := c.specPlans[:0]
@@ -83,14 +87,14 @@ func (c *Client) mget(keys [][]byte, idxs []int, vals [][]byte, oks []bool, prob
 	for _, i := range idxs {
 		if c.loc != nil {
 			if h, ok := c.loc.Lookup(keys[i]); ok {
-				sp := c.acquireSpecGetPlan(keys[i], h)
+				sp := c.specs.get().reset(c, keys[i], h)
 				specs = append(specs, sp)
 				specIdx = append(specIdx, i)
 				run = append(run, sp)
 				continue
 			}
 		}
-		pl := c.acquireGetPlan(keys[i])
+		pl := c.gets.get().reset(c, keys[i])
 		plans = append(plans, pl)
 		getIdx = append(getIdx, i)
 		run = append(run, pl)
@@ -121,7 +125,7 @@ func (c *Client) mget(keys [][]byte, idxs []int, vals [][]byte, oks []bool, prob
 		// fresh hint on a hit).
 		i := specIdx[j]
 		c.dropHint(keys[i])
-		vals[i], oks[i] = c.get(keys[i], probe, nil)
+		vals[i], oks[i] = c.get(keys[i], probe, nil, start)
 	}
 	for j, pl := range plans {
 		if pl.hit {
@@ -132,16 +136,16 @@ func (c *Client) mget(keys [][]byte, idxs []int, vals [][]byte, oks []bool, prob
 			// through the serial driver, which retries bounded re-reads
 			// exactly as a lone Get would.
 			i := getIdx[j]
-			vals[i], oks[i] = c.get(keys[i], probe, nil)
+			vals[i], oks[i] = c.get(keys[i], probe, nil, start)
 		} else if !probe {
 			c.finishMiss(start, pl)
 		}
 	}
 	for _, pl := range plans {
-		c.releaseGetPlan(pl)
+		c.gets.put(pl)
 	}
 	for _, sp := range specs {
-		c.releaseSpecGetPlan(sp)
+		c.specs.put(sp)
 	}
 }
 
@@ -177,7 +181,7 @@ func (c *Client) mset(pairs []KV, idxs []int, strat exec.Strategy) {
 	plans := c.setPlans[:0]
 	run := c.runOps[:0]
 	for _, i := range idxs {
-		pl := c.acquireSetPlan(pairs[i].Key, pairs[i].Value)
+		pl := c.sets.get().reset(c, pairs[i].Key, pairs[i].Value)
 		plans = append(plans, pl)
 		run = append(run, pl)
 	}
@@ -200,13 +204,13 @@ func (c *Client) mset(pairs []KV, idxs []int, strat exec.Strategy) {
 			fallback = append(fallback, idxs[j])
 		}
 	}
-	// Release before the serial retries: the fallbacks re-run their keys
+	// Put back before the serial retries: the fallbacks re-run their keys
 	// with fresh plans and no batch output is read past this point.
 	for _, pl := range plans {
-		c.releaseSetPlan(pl)
+		c.sets.put(pl)
 	}
 	for _, i := range fallback {
-		c.Set(pairs[i].Key, pairs[i].Value) // counts its own Sets/retries
+		c.set(pairs[i].Key, pairs[i].Value, start) // counts its own Sets/retries
 	}
 }
 
@@ -241,7 +245,7 @@ func (c *Client) mdelete(keys [][]byte, idxs []int, out []bool, strat exec.Strat
 		if c.loc != nil {
 			c.loc.Drop(keys[i])
 		}
-		pl := c.acquireDelPlan(keys[i])
+		pl := c.dels.get().reset(c, keys[i])
 		plans = append(plans, pl)
 		run = append(run, pl)
 	}
@@ -252,6 +256,6 @@ func (c *Client) mdelete(keys [][]byte, idxs []int, out []bool, strat exec.Strat
 		if pl.deleted {
 			out[idxs[j]] = true
 		}
-		c.releaseDelPlan(pl)
+		c.dels.put(pl)
 	}
 }

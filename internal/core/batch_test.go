@@ -255,3 +255,103 @@ func TestNoteHitReadsPendingDeltaBeforeAdd(t *testing.T) {
 	})
 	env.Run()
 }
+
+// opLatencies collects c's OnOp latencies of one kind, in report order.
+func opLatencies(c *Client, kind OpKind) *[]int64 {
+	var lats []int64
+	c.OnOp = func(op OpKind, lat int64, _ bool) {
+		if op == kind {
+			lats = append(lats, lat)
+		}
+	}
+	return &lats
+}
+
+// TestDemotedKeyLatencyCountsTheBatch is the regression test for the
+// latency clock of a key MGet/MSet demotes to the serial driver: the
+// doorbell rounds it sat through before the demotion are part of what
+// the caller waited for, so its reported latency runs from the BATCH's
+// start and exceeds the clean keys' (which all complete with the batch).
+// Restarting the clock at the fallback under-reported exactly the
+// slowest keys of a batch.
+func TestDemotedKeyLatencyCountsTheBatch(t *testing.T) {
+	// A batch reports its clean keys first and a demoted key last.
+	check := func(op string, lats []int64) {
+		t.Helper()
+		if len(lats) != 8 {
+			t.Fatalf("%s reported %d ops, want 8", op, len(lats))
+		}
+		if clean, demoted := lats[0], lats[7]; demoted <= clean {
+			t.Errorf("%s: demoted key reported %d ns, clean keys %d ns: the fallback restarted the clock",
+				op, demoted, clean)
+		}
+	}
+
+	t.Run("MGet stale hint", func(t *testing.T) {
+		env := sim.NewEnv(1)
+		cl := newSpecCluster(env, 1000, 256)
+		env.Go("c", func(p *sim.Proc) {
+			c, other := cl.NewClient(p), cl.NewClient(p)
+			keys := make([][]byte, 8)
+			for i := range keys {
+				keys[i] = key(i)
+				// c's own Sets leave it hints; other's leave it none, so the
+				// batch walks those keys: two doorbell rounds.
+				if i < 4 {
+					c.Set(keys[i], value(i))
+				} else {
+					other.Set(keys[i], value(i))
+				}
+			}
+			other.Set(keys[3], value(30)) // moves the block: c's hint is stale
+			lats := opLatencies(c, OpGet)
+			if _, oks := c.MGet(keys); !oks[3] {
+				t.Fatal("stale-hint key missed")
+			}
+			if c.Stats.SpecGetFallbacks != 1 {
+				t.Fatalf("fallbacks = %d, want 1", c.Stats.SpecGetFallbacks)
+			}
+			check("MGet", *lats)
+		})
+		env.Run()
+	})
+
+	t.Run("MSet lost CAS", func(t *testing.T) {
+		env := sim.NewEnv(1)
+		cl := newTestCluster(env, 1000)
+		env.Go("load", func(p *sim.Proc) {
+			c := cl.NewClient(p)
+			for i := 0; i < 16; i++ {
+				c.Set(key(i), value(i))
+			}
+		})
+		env.Run()
+		// Two clients update key 3 inside same-shaped batches started at
+		// the same instant: their rounds stay in lock step, both publish
+		// CASes expect the same old pointer, the second one loses.
+		var clients [2]*Client
+		var lats [2]*[]int64
+		for w := range clients {
+			w := w
+			env.Go("w", func(p *sim.Proc) {
+				c := cl.NewClient(p)
+				clients[w], lats[w] = c, opLatencies(c, OpSet)
+				pairs := make([]KV, 8)
+				for i := range pairs {
+					pairs[i] = KV{Key: key(8*w + i), Value: value(100 + i)}
+				}
+				pairs[3].Key = key(3)
+				c.MSet(pairs)
+			})
+		}
+		env.Run()
+		if r := clients[0].Stats.SetRetries + clients[1].Stats.SetRetries; r != 1 {
+			t.Fatalf("set retries = %d, want exactly the one lost CAS", r)
+		}
+		for w, c := range clients {
+			if c.Stats.SetRetries == 1 {
+				check("MSet", *lats[w])
+			}
+		}
+	})
+}

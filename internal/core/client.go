@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
 	"ditto/internal/adaptive"
@@ -138,15 +137,16 @@ type Client struct {
 	meta8   [8]byte
 	extMeta cachealgo.Metadata
 
-	// Plan free lists and in-flight batch scratch (see pool.go). runOps
+	// Plan pools and in-flight batch scratch (see pool.go). runOps
 	// carries one M-operation's plans; runEv the eviction batches —
 	// separate because inline eviction can fire while an M-operation's
-	// doorbell round is mid-absorb.
-	freeGet   []*getPlan
-	freeSet   []*setPlan
-	freeDel   []*delPlan
-	freeEv    []*evictPlan
-	freeSpec  []*specGetPlan
+	// doorbell round is mid-absorb. bktCands is bucketEvict's own
+	// candidate scratch for the same reason.
+	gets      planPool[getPlan]
+	sets      planPool[setPlan]
+	dels      planPool[delPlan]
+	evs       planPool[evictPlan]
+	specs     planPool[specGetPlan]
 	getPlans  []*getPlan
 	setPlans  []*setPlan
 	delPlans  []*delPlan
@@ -157,6 +157,7 @@ type Client struct {
 	specIdx   []int // key index each in-flight spec plan serves (mget)
 	getIdx    []int // key index each in-flight get plan serves (mget)
 	idxAll    []int // the identity index list [0, n) (allIdx)
+	bktCands  []candidate
 
 	// Location cache behind one-RTT speculative Gets (nil unless
 	// Options.LocCacheSlots > 0; see internal/loccache). verBase/verSeq
@@ -164,7 +165,7 @@ type Client struct {
 	// cluster-assigned 16-bit client id pre-shifted into stamp position,
 	// verSeq the per-staging sequence — deterministic counters, no RNG
 	// draw, so enabling stamps never perturbs randomness order. stamp8 is
-	// the reusable all-zero image freeStampAsync writes over a freed
+	// the reusable all-zero image releaseBlock writes over a freed
 	// block's tenant+ver bytes (safe to share: WriteAsync applies before
 	// returning, and the stamp is always zero).
 	loc     *loccache.Cache
@@ -276,16 +277,18 @@ func (c *Client) Close() {
 // the critical path (§4.1). The verb sequence is the getPlan in plan.go —
 // the same plan MGet runs as doorbell batches — traversed serially here.
 // The returned value is a fresh copy; use GetAppend to reuse a buffer.
-func (c *Client) Get(key []byte) ([]byte, bool) { return c.get(key, false, nil) }
+func (c *Client) Get(key []byte) ([]byte, bool) { return c.get(key, false, nil, c.p.Now()) }
 
 // GetAppend is Get appending the value to dst and returning the extended
 // slice — the allocation-free form for callers that reuse a buffer
 // across operations.
-func (c *Client) GetAppend(dst, key []byte) ([]byte, bool) { return c.get(key, false, dst) }
+func (c *Client) GetAppend(dst, key []byte) ([]byte, bool) { return c.get(key, false, dst, c.p.Now()) }
 
 // get runs the plan and, on a hit, appends the value to dst. The copy
-// happens before the plan is released: pl.dec.value is a view into the
-// plan's pooled object buffer.
+// happens before the plan is put back: pl.dec.value is a view into the
+// plan's pooled object buffer. start is when the operation's latency
+// clock began: now for a lone Get, the batch's start for a key mget
+// demoted to this serial driver.
 //
 // probe=true makes a miss silent: no counters, no regret collection, no
 // observer report. MultiClient's forwarding window probes this way so a
@@ -300,43 +303,46 @@ func (c *Client) GetAppend(dst, key []byte) ([]byte, bool) { return c.get(key, f
 // a single round trip. Any validation failure silently drops the hint
 // and falls through to the ordinary bucket walk below, whose own hit
 // path re-records a fresh hint; correctness never depends on the hint.
-func (c *Client) get(key []byte, probe bool, dst []byte) ([]byte, bool) {
-	start := c.p.Now()
+func (c *Client) get(key []byte, probe bool, dst []byte, start int64) ([]byte, bool) {
 	if c.loc != nil {
 		if h, ok := c.loc.Lookup(key); ok {
-			spl := c.acquireSpecGetPlan(key, h)
+			spl := c.specs.get().reset(c, key, h)
 			c.runner.Serial.Run(spl)
 			if spl.ok {
-				val := c.finishSpecHit(start, spl, dst)
-				c.releaseSpecGetPlan(spl)
-				return val, true
+				dst = c.finishSpecHit(start, spl, dst)
+				c.specs.put(spl)
+				return dst, true
 			}
 			c.dropHint(key)
-			c.releaseSpecGetPlan(spl)
+			c.specs.put(spl)
 		}
 	}
-	var pl *getPlan
-	for attempt := 0; attempt < getRetries; attempt++ {
-		if pl == nil {
-			pl = c.acquireGetPlan(key)
-		} else {
-			pl.reset(c, key)
-		}
-		c.runner.Serial.Run(pl)
-		if pl.hit {
-			val := c.finishWalkHit(start, pl, dst)
-			c.releaseGetPlan(pl)
-			return val, true
-		}
-		if !pl.stale {
-			break // a clean miss; stale snapshots retry (bounded)
-		}
-	}
-	if !probe {
+	pl := c.walk(key)
+	if pl.hit {
+		dst = c.finishWalkHit(start, pl, dst)
+	} else if !probe {
 		c.finishMiss(start, pl)
 	}
-	c.releaseGetPlan(pl)
-	return dst, false
+	c.gets.put(pl)
+	return dst, pl.hit
+}
+
+// walk is THE quiet read: key's bucket walk run serially — a clean miss
+// ends it, a stale snapshot re-reads, bounded by getRetries — touching no
+// counter, frequency or observer. It returns the finished plan, which
+// the caller puts back (c.gets) once it has consumed the hit's views.
+// get completes it as a counted operation; maintenance reads (promotion's
+// value snapshot, write repair) and the tests' stat-silent probes read
+// pl.hit/pl.dec off it directly.
+func (c *Client) walk(key []byte) *getPlan {
+	pl := c.gets.get()
+	for attempt := 0; attempt < getRetries; attempt++ {
+		c.runner.Serial.Run(pl.reset(c, key))
+		if pl.hit || !pl.stale {
+			break
+		}
+	}
+	return pl
 }
 
 // finishHit is THE completion of a Get hit, shared by the serial and
@@ -347,7 +353,7 @@ func (c *Client) get(key []byte, probe bool, dst []byte) ([]byte, bool) {
 // location-cache hint, the hot-key promotion hook, the counters and the
 // observer report. It returns dst extended by the value — copied here
 // because dec views the buffer of a pooled plan the caller is about to
-// release.
+// put back.
 //
 // h carries the slot-metadata view the maintenance works from: a bucket
 // walk builds it from the slot it just read (finishWalkHit), a
@@ -538,48 +544,64 @@ const shrinkEvictBatch = 8
 // (bucket search), one WRITE (object to a free location) and one CAS
 // (publish the pointer) — §4.1 — plus eviction work only when the memory
 // pool is full. The verb sequence is the setPlan in plan.go — the same
-// plan MSet runs as doorbell batches — traversed serially here with the
-// bounded retry/backoff loop around it.
-func (c *Client) Set(key, value []byte) {
-	start := c.p.Now()
+// plan MSet runs as doorbell batches — traversed serially here by the
+// store driver.
+func (c *Client) Set(key, value []byte) { c.set(key, value, c.p.Now()) }
+
+// set is Set with the latency clock started by the caller: now for a
+// lone Set, the batch's start for a pair mset demoted to this serial
+// driver.
+func (c *Client) set(key, value []byte, start int64) {
 	c.Stats.Sets++
 	c.drainOverBudget(shrinkEvictBatch)
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			c.Stats.SetRetries++
-			// Hot keys attract concurrent out-of-place updates; the CAS
-			// loser backs off briefly (like the paper's lock back-off) so
-			// contenders don't stay lock-stepped.
-			c.p.Sleep(c.p.Rand().Int63n(2 * sim.Microsecond))
+	if !c.store(key, value, nil, true, start) {
+		panic(fmt.Errorf("%w: Set retries exhausted (table misconfigured?)", ErrNoProgress))
+	}
+}
+
+// storeAttempts bounds the store driver's plan runs.
+const storeAttempts = 4096
+
+// store is THE store driver: run a setPlan serially; on setNoFree make
+// room in the key's buckets (makeRoom, evict.go), on setCASLost just take
+// a fresh snapshot; retry, bounded by storeAttempts — false means the
+// budget ran out (a misconfigured table). pl, when non-nil, is a finished
+// first attempt the caller already ran (a replica fan-out's plan); the
+// driver takes it over and puts it back.
+//
+// counted selects the client-operation flavour: retries count in
+// Stats.SetRetries and back off briefly first — hot keys attract
+// concurrent out-of-place updates, and the CAS loser sleeps like the
+// paper's lock back-off so contenders don't stay lock-stepped — and
+// completion records the location hint and reports the latency since
+// start. Uncounted stores are maintenance (replica copies): no stats, no
+// hint, no report, and no back-off — their writers are serialized by the
+// hot-key entry lock, so there is no lock-step to break.
+func (c *Client) store(key, value []byte, pl *setPlan, counted bool, start int64) bool {
+	for attempt := 0; attempt < storeAttempts; attempt++ {
+		if pl == nil {
+			pl = c.sets.get().reset(c, key, value)
+			c.runner.Serial.Run(pl)
 		}
-		if attempt > 4096 {
-			panic(fmt.Errorf("%w: Set retries exhausted (table misconfigured?)", ErrNoProgress))
-		}
-		pl := c.acquireSetPlan(key, value)
-		c.runner.Serial.Run(pl)
 		switch pl.outcome {
 		case setDone:
-			c.noteSetLocation(pl)
-			c.releaseSetPlan(pl)
-			c.report(OpSet, start, true)
-			return
-		case setNoFree:
-			// Both buckets full of live objects and valid history entries:
-			// evict the lowest-priority live object from the key's buckets
-			// directly (slot reclaimed immediately; no history entry for
-			// this corner case — bucketEvict in evict.go). If the buckets
-			// hold no live object at all (all history), sacrifice the
-			// oldest history entry. Then retry with a freed slot.
-			// pl.scanned views the plan's pooled slot scratch — consumed
-			// before the release.
-			if !c.bucketEvict(pl.scanned) {
-				c.reclaimOldestHistory(pl.scanned)
+			if counted {
+				c.noteSetLocation(pl)
+				c.report(OpSet, start, true)
 			}
-		case setCASLost:
-			// Lost a race; retry with a fresh snapshot.
+			c.sets.put(pl)
+			return true
+		case setNoFree:
+			c.makeRoom(pl.slots) // views the plan's pooled slots: before the put
 		}
-		c.releaseSetPlan(pl)
+		c.sets.put(pl)
+		pl = nil
+		if counted {
+			c.Stats.SetRetries++
+			c.p.Sleep(c.p.Rand().Int63n(2 * sim.Microsecond))
+		}
 	}
+	return false
 }
 
 // allocStallTick is how long a write sleeps per stall round waiting for
@@ -648,8 +670,7 @@ func (c *Client) allocOrEvict(size int) uint64 {
 // update, into dst (reused when it has capacity). The frequency
 // convention matches noteHit — snapshot + pending delta + 1 for the
 // current access, with the pending delta read before the access is
-// buffered (finishUpdate's fc.Add runs only after the CAS publishes the
-// update).
+// buffered (the fc.Add runs only after the CAS publishes the update).
 func (c *Client) updateExt(dst []byte, s hashtable.Slot, old decodedObject, size int, now int64) []byte {
 	ext := grow(dst, c.cl.totalExt)
 	n := copy(ext, old.ext)
@@ -668,17 +689,6 @@ func (c *Client) updateExt(dst []byte, s hashtable.Slot, old decodedObject, size
 		}
 	}
 	return ext
-}
-
-// finishUpdate applies the post-CAS effects of a successful out-of-place
-// update: free the superseded block (stamping it first, see
-// freeStampAsync), buffer the access's freq increment, and touch last_ts
-// (async).
-func (c *Client) finishUpdate(s hashtable.Slot, keyLen int, now int64) {
-	c.freeStampAsync(s.Atomic.Pointer())
-	c.alloc.Free(s.Atomic.Pointer(), s.Atomic.SizeBytes())
-	c.fc.Add(s.Addr, keyLen)
-	c.ht.TouchLastTs(s.Addr, now)
 }
 
 // finishInsert applies the post-CAS effects of a successful insert: drop
@@ -719,23 +729,6 @@ func (c *Client) initExts(dst []byte, size int, now int64) []byte {
 // setPlan in migrate (insert-if-absent) mode plus the source delete CAS —
 // see migratePlan in plan.go and the resharder drivers in multi.go.
 
-// hasOtherCopy reports whether a live copy of key exists in its buckets
-// at a slot other than exclAddr.
-func (c *Client) hasOtherCopy(kh uint64, fp byte, key []byte, exclAddr uint64) bool {
-	for _, b := range [2]int{c.cl.Layout.MainBucket(kh), c.cl.Layout.BackupBucket(kh)} {
-		for _, s := range c.ht.ReadBucket(b) {
-			if s.Addr == exclAddr || s.Atomic.IsEmpty() || s.Atomic.IsHistory() || s.Atomic.FP() != fp {
-				continue
-			}
-			obj := c.readObject(s)
-			if dec := decodeObject(obj); dec.ok && bytes.Equal(dec.key, key) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // surrenderFreeBlocks hands the client's local free lists back to the MN
 // controller; called by transient clients (the resharder) on their way
 // out so freed space is not stranded.
@@ -748,10 +741,7 @@ func (c *Client) surrenderFreeBlocks() { c.alloc.Surrender() }
 // tenant the insert was charged to; the undo credits it back.
 func (c *Client) dropMigrated(slotAddr uint64, atom hashtable.AtomicField, t TenantID) {
 	if _, swapped := c.ht.CASAtomic(slotAddr, atom, 0); swapped {
-		c.freeStampAsync(atom.Pointer())
-		c.alloc.Free(atom.Pointer(), atom.SizeBytes())
-		c.fc.Forget(slotAddr)
-		c.accountTenant(t, -int64(atom.SizeBytes()))
+		c.releaseBlock(atom, slotAddr, t)
 	}
 }
 
@@ -766,9 +756,8 @@ func (c *Client) Delete(key []byte) bool {
 	if c.loc != nil {
 		c.loc.Drop(key)
 	}
-	pl := c.acquireDelPlan(key)
+	pl := c.dels.get().reset(c, key)
 	c.runner.Serial.Run(pl)
-	deleted := pl.deleted
-	c.releaseDelPlan(pl)
-	return deleted
+	c.dels.put(pl)
+	return pl.deleted
 }

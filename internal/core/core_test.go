@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"ditto/internal/sim"
@@ -456,4 +457,24 @@ func TestUnknownExpertPanics(t *testing.T) {
 		}
 	}()
 	NewCluster(env, opts)
+}
+
+// TestStatsAddCoversEveryCounter guards the hand-maintained field list
+// of Stats.Add: a counter missing from it would silently vanish from
+// MultiClient.Stats() and the bench aggregators.
+func TestStatsAddCoversEveryCounter(t *testing.T) {
+	var s Stats
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Kind() != reflect.Int64 {
+			t.Fatalf("Stats.%s is not an int64 counter: teach this test (and Add) about it", v.Type().Field(i).Name)
+		}
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	s.Add(s)
+	for i := 0; i < v.NumField(); i++ {
+		if got, want := v.Field(i).Int(), int64(2*(i+1)); got != want {
+			t.Errorf("Stats.Add drops %s: %d, want %d", v.Type().Field(i).Name, got, want)
+		}
+	}
 }

@@ -51,7 +51,7 @@ func (c *Client) evictBatch(n int, strat exec.Strategy) int {
 		plans := c.evPlans[:0]
 		run := c.runEv[:0]
 		for i := 0; i < m; i++ {
-			pl := c.acquireEvictPlan()
+			pl := c.evs.get().reset(c)
 			plans = append(plans, pl)
 			run = append(run, pl)
 		}
@@ -78,7 +78,7 @@ func (c *Client) evictBatch(n int, strat exec.Strategy) int {
 			}
 		}
 		for _, pl := range plans {
-			c.releaseEvictPlan(pl)
+			c.evs.put(pl)
 		}
 		if exhausted {
 			return won
@@ -171,12 +171,85 @@ func (c *Client) applyExt(cand *candidate, data []byte) {
 	cand.meta.Ext = data
 }
 
-// buildCandidates filters a sample down to live object slots and attaches
-// metadata. With the sample-friendly hash table all default metadata
-// arrived with the sample READ; extension metadata (or, under the
-// DisableSFHT ablation, all metadata) costs one more READ per candidate.
-func (c *Client) buildCandidates(slots []hashtable.Slot) []candidate {
-	cands := make([]candidate, 0, len(slots))
+// tenantVictims is THE tenant victim filter, shared by the sampled
+// eviction (evictPlan.nominate) and the bucket eviction: lease expiry
+// first — a lapsed entry is dead weight no policy should out-rank, so
+// the index of the first candidate whose lease expired by now is
+// returned (else -1) — then quota enforcement: while any tenant is over
+// quota (overQ, a mask of tenant bits), the experts nominate only among
+// over-quota candidates, so an over-quota tenant can never displace an
+// in-quota one that has victims available. over is cands compacted in
+// place to those candidates; when it is empty cands is untouched.
+func tenantVictims(cands []candidate, now int64, overQ uint64) (expired int, over []candidate) {
+	for i := range cands {
+		if ex := cands[i].expiry; ex != 0 && ex <= now {
+			return i, nil
+		}
+	}
+	n := 0
+	for i := range cands {
+		if overQ&(1<<uint(cands[i].tenant)) != 0 {
+			cands[n] = cands[i]
+			n++
+		}
+	}
+	return -1, cands[:n]
+}
+
+// lowestPriority returns expert e's nominee among cands — the index and
+// priority of the candidate it ranks lowest at time now.
+func (c *Client) lowestPriority(e int, cands []candidate, now int64) (best int, bestP float64) {
+	a, off := c.experts[e], c.extOff[e]
+	best = -1
+	for i := range cands {
+		m := cands[i].meta
+		if a.ExtSize() > 0 {
+			m.Ext = m.Ext[off : off+a.ExtSize()]
+		}
+		if p := a.Priority(&m, now); best < 0 || p < bestP {
+			best, bestP = i, p
+		}
+	}
+	return best, bestP
+}
+
+// settleVictim applies the local effects of a claimed eviction victim
+// (its CAS won): the block's release, the victim-size estimate, the
+// counter, and the hot-key hook that lets the replication layer demote
+// an entry whose primary copy was just evicted.
+func (c *Client) settleVictim(v candidate) {
+	c.releaseBlock(v.slot.Atomic, v.slot.Addr, v.tenant)
+	c.cl.noteVictimBlocks(int(v.slot.Atomic.SizeBlocks()))
+	c.Stats.Evictions++
+	if c.cl.onEvictHash != nil {
+		c.cl.onEvictHash(v.slot.Hash)
+	}
+}
+
+// makeRoom frees a slot in the key's own buckets when a setPlan finished
+// setNoFree — both full of live objects and valid history entries
+// (slots: everything the plan's walk read). It evicts from the buckets
+// directly (bucketEvict); if they hold no live object at all (all
+// history), or the victim CAS lost, it sacrifices the history entry
+// closest to expiry instead. The caller then retries with a freed slot.
+func (c *Client) makeRoom(slots []hashtable.Slot) {
+	if !c.bucketEvict(slots) {
+		c.reclaimOldestHistory(slots)
+	}
+}
+
+// bucketEvict deletes the deciding expert's lowest-priority live object
+// among slots outright: slot reclaimed immediately, no history entry for
+// this corner case, only the deciding expert ranks and earns the eviction
+// credit. Rare by construction (the table is oversized), counted in
+// Stats.BucketEvictions.
+func (c *Client) bucketEvict(slots []hashtable.Slot) bool {
+	// With the sample-friendly hash table all default metadata arrived
+	// with the bucket READs; extension metadata (or, under the DisableSFHT
+	// ablation, all metadata) costs one more READ per candidate. The
+	// scratch is the bucket eviction's own: inline eviction (evPlans) can
+	// nest inside a setPlan stage, bucket eviction cannot.
+	cands := c.bktCands[:0]
 	for _, s := range slots {
 		cand, ok := c.liveCandidate(s)
 		if !ok {
@@ -187,68 +260,34 @@ func (c *Client) buildCandidates(slots []hashtable.Slot) []candidate {
 		}
 		cands = append(cands, cand)
 	}
-	return cands
-}
-
-// bucketEvict frees a slot in the key's own buckets when both are full of
-// live objects and valid history entries: the deciding expert's
-// lowest-priority live object is deleted outright (slot reclaimed
-// immediately). Rare by construction (the table is oversized), counted in
-// Stats.BucketEvictions.
-func (c *Client) bucketEvict(slots []hashtable.Slot) bool {
-	cands := c.buildCandidates(slots)
+	c.bktCands = cands
 	if len(cands) == 0 {
 		return false
 	}
-	// Tenant policies mirror evictPlan.nominate: an expired lease is
-	// reclaimed first (Delete-equivalent, so no expert is consulted or
-	// blamed), then the candidate set narrows to over-quota tenants when
-	// any is present — bucket pressure must not evict an in-quota
-	// tenant's key while an over-quota tenant occupies the same bucket.
 	if c.cl.tenantMode {
-		now := c.p.Now()
-		for i := range cands {
-			if ex := cands[i].expiry; ex != 0 && ex <= now {
-				return c.takeBucketVictim(cands[i], nil, 0)
-			}
+		// Bucket pressure must not evict an in-quota tenant's key while an
+		// over-quota tenant occupies the same bucket; with no over-quota
+		// candidate here the global policy runs (there is no resampling a
+		// key's own buckets). An expired lease goes first and blames no
+		// expert — reclaiming a dead lease is Delete-equivalent.
+		exp, over := tenantVictims(cands, c.p.Now(), c.cl.overQuotaMask())
+		if exp >= 0 {
+			return c.takeBucketVictim(cands[exp], nil, 0)
 		}
-		if mask := c.cl.overQuotaMask(); mask != 0 {
-			n := 0
-			for i := range cands {
-				if mask&(1<<uint(cands[i].tenant)) != 0 {
-					cands[n] = cands[i]
-					n++
-				}
-			}
-			if n > 0 {
-				cands = cands[:n]
-			}
+		if len(over) > 0 {
+			cands = over
 		}
 	}
 	deciding := 0
 	if c.adapt != nil {
 		deciding = c.adapt.PickExpert(c.p.Rand())
 	}
-	a := c.experts[deciding]
-	now := c.p.Now()
-	best, bestP := -1, 0.0
-	for i := range cands {
-		m := cands[i].meta
-		if off := c.extOff[deciding]; a.ExtSize() > 0 {
-			m.Ext = cands[i].meta.Ext[off : off+a.ExtSize()]
-		}
-		p := a.Priority(&m, now)
-		if best < 0 || p < bestP {
-			best, bestP = i, p
-		}
-	}
-	return c.takeBucketVictim(cands[best], a, bestP)
+	best, bestP := c.lowestPriority(deciding, cands, c.p.Now())
+	return c.takeBucketVictim(cands[best], c.experts[deciding], bestP)
 }
 
 // takeBucketVictim claims one bucket-eviction victim: CAS the slot
-// empty, free the object, and settle counters. blamed is nil for an
-// expired-lease victim — reclaiming a dead lease is Delete-equivalent,
-// so no expert earns the eviction credit.
+// empty, then settle. blamed is nil for an expired-lease victim.
 func (c *Client) takeBucketVictim(victim candidate, blamed cachealgo.Algorithm, p float64) bool {
 	if _, won := c.ht.CASAtomic(victim.slot.Addr, victim.slot.Atomic, 0); !won {
 		return false
@@ -256,23 +295,13 @@ func (c *Client) takeBucketVictim(victim candidate, blamed cachealgo.Algorithm, 
 	if obs, ok := blamed.(cachealgo.EvictionObserver); ok {
 		obs.OnEvict(p)
 	}
-	c.freeStampAsync(victim.slot.Atomic.Pointer())
-	c.alloc.Free(victim.slot.Atomic.Pointer(),
-		victim.slot.Atomic.SizeBytes())
-	c.fc.Forget(victim.slot.Addr)
-	c.accountTenant(victim.tenant, -int64(victim.slot.Atomic.SizeBytes()))
-	c.cl.noteVictimBlocks(int(victim.slot.Atomic.SizeBlocks()))
-	c.Stats.Evictions++
+	c.settleVictim(victim)
 	c.Stats.BucketEvictions++
-	if c.cl.onEvictHash != nil {
-		c.cl.onEvictHash(victim.slot.Hash)
-	}
 	return true
 }
 
 // reclaimOldestHistory frees the bucket-local history entry closest to
-// expiry so an insert can proceed when a bucket is saturated with valid
-// history entries (shortening the logical FIFO for those entries only).
+// expiry, shortening the logical FIFO for those entries only.
 func (c *Client) reclaimOldestHistory(slots []hashtable.Slot) {
 	best := -1
 	var bestAge uint64

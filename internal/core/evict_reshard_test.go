@@ -135,9 +135,7 @@ func TestEvictedHotKeyDemotes(t *testing.T) {
 				break
 			}
 		}
-		pl := pc.newGetPlan(K)
-		m.runner.Serial.Run(pl)
-		if pl.hit {
+		if pc.walk(K).hit {
 			t.Fatal("primary copy survived forced eviction")
 		}
 		if !e.Evicted {
@@ -156,9 +154,7 @@ func TestEvictedHotKeyDemotes(t *testing.T) {
 			t.Errorf("demotions = %d, want %d", mc.Demotions, demBefore+1)
 		}
 		for _, id := range e.Replicas {
-			rpl := m.clientFor(id).newGetPlan(K)
-			m.runner.Serial.Run(rpl)
-			if rpl.hit {
+			if m.clientFor(id).walk(K).hit {
 				t.Errorf("replica copy on node %d survived the demotion", id)
 			}
 		}

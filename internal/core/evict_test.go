@@ -56,9 +56,7 @@ func testEvictStrategiesEquivalent(t *testing.T, experts []string) {
 			st = c.Stats
 			weights = append([]float64(nil), c.Weights()...)
 			for i := 0; i < keys; i++ {
-				pl := c.newGetPlan(key(i)) // stat-silent probe
-				c.runner.Serial.Run(pl)
-				if pl.hit {
+				if c.walk(key(i)).hit { // stat-silent probe
 					survivors[string(key(i))] = true
 				}
 			}
@@ -178,9 +176,7 @@ func TestEvictWindowSparseTable(t *testing.T) {
 		// The key count must have dropped by exactly the one victim.
 		live := 0
 		for i := 0; i < sparse; i++ {
-			pl := c.newGetPlan(key(i))
-			c.runner.Serial.Run(pl)
-			if pl.hit {
+			if c.walk(key(i)).hit {
 				live++
 			}
 		}

@@ -407,8 +407,6 @@ type migratedCopy struct {
 	// (and its clients, bound to the dead process) were killed — it must
 	// resolve a live client of its own at sweep time.
 	dstID  int
-	kh     uint64
-	fp     byte
 	key    []byte
 	addr   uint64
 	atom   hashtable.AtomicField
@@ -557,7 +555,7 @@ func (mc *MultiCluster) runReshard(p *sim.Proc, m *MultiClient, st *reshardState
 		}
 		ins := ins
 		_ = rdma.CatchUnreachable(func() {
-			if dst.hasOtherCopy(ins.kh, ins.fp, ins.key, ins.addr) {
+			if dst.hasOtherCopy(ins.key, ins.addr) {
 				dst.dropMigrated(ins.addr, ins.atom, ins.tenant)
 			}
 		})
@@ -661,7 +659,6 @@ func (mc *MultiCluster) migrateNode(m *MultiClient, srcID int, inserts *[]migrat
 		type migItem struct {
 			s     hashtable.Slot
 			dec   decodedObject
-			kh    uint64
 			owner int
 		}
 		var items []migItem
@@ -670,8 +667,7 @@ func (mc *MultiCluster) migrateNode(m *MultiClient, srcID int, inserts *[]migrat
 			if !dec.ok {
 				continue // reused memory behind a stale slot snapshot
 			}
-			kh := hashtable.KeyHash(dec.key)
-			owner := mc.snap().hashRing.Owner(ring.Point(kh))
+			owner := mc.snap().hashRing.Owner(ring.Point(hashtable.KeyHash(dec.key)))
 			if owner == srcID {
 				continue
 			}
@@ -682,11 +678,11 @@ func (mc *MultiCluster) migrateNode(m *MultiClient, srcID int, inserts *[]migrat
 				}
 				seen[string(dec.key)] = true
 			}
-			items = append(items, migItem{s: s, dec: dec, kh: kh, owner: owner})
+			items = append(items, migItem{s: s, dec: dec, owner: owner})
 		}
 		if !doorbell {
 			for _, it := range items {
-				pending += mc.migrateSlot(src, m.clientFor(it.owner), it.owner, it.s, it.dec, it.kh, inserts)
+				pending += mc.migrateSlot(src, m.clientFor(it.owner), it.owner, it.s, it.dec, inserts)
 			}
 			continue
 		}
@@ -707,7 +703,7 @@ func (mc *MultiCluster) migrateNode(m *MultiClient, srcID int, inserts *[]migrat
 				it := batch[j]
 				switch pl.outcome {
 				case migMoved:
-					mc.noteMoved(inserts, it.owner, it.kh, pl)
+					mc.noteMoved(inserts, it.owner, pl)
 					pending++
 				case migSkipped:
 					// Destination already newer; source copy GC'd in-plan.
@@ -715,7 +711,7 @@ func (mc *MultiCluster) migrateNode(m *MultiClient, srcID int, inserts *[]migrat
 					// Complication (full bucket, lost CAS, source changed):
 					// demote this slot to the serial retry path, which
 					// re-reads and redoes the copy from a fresh snapshot.
-					pending += mc.migrateSlot(src, m.clientFor(it.owner), it.owner, it.s, it.dec, it.kh, inserts)
+					pending += mc.migrateSlot(src, m.clientFor(it.owner), it.owner, it.s, it.dec, inserts)
 				}
 			}
 		}
@@ -728,10 +724,9 @@ func (mc *MultiCluster) migrateNode(m *MultiClient, srcID int, inserts *[]migrat
 // an entry for an undone insert would let the sweep's precise CAS fire on
 // an ABA reuse of the slot (same fingerprint, same size class, recycled
 // block address) and delete an unrelated live object.
-func (mc *MultiCluster) noteMoved(inserts *[]migratedCopy, dstID int, kh uint64, pl *migratePlan) {
+func (mc *MultiCluster) noteMoved(inserts *[]migratedCopy, dstID int, pl *migratePlan) {
 	*inserts = append(*inserts, migratedCopy{
-		dstID: dstID, kh: kh, fp: hashtable.Fingerprint(kh),
-		key: pl.ins.key, addr: pl.ins.slotAddr, atom: pl.ins.want,
+		dstID: dstID, key: pl.ins.key, addr: pl.ins.slotAddr, atom: pl.ins.want,
 		tenant: pl.ins.tenant,
 	})
 	mc.MigratedKeys++
@@ -749,14 +744,14 @@ const migrateSlotRetries = 8
 // churn — pending work the pass loop revisits), 0 when the key turned out
 // to be gone or already superseded on the destination.
 func (mc *MultiCluster) migrateSlot(src, dst *Client, dstID int, s hashtable.Slot, dec decodedObject,
-	kh uint64, inserts *[]migratedCopy) int64 {
+	inserts *[]migratedCopy) int64 {
 
 	for try := 0; try < migrateSlotRetries; try++ {
 		pl := newMigratePlan(src, dst, s, dec)
 		src.runner.Serial.Run(pl)
 		switch pl.outcome {
 		case migMoved:
-			mc.noteMoved(inserts, dstID, kh, pl)
+			mc.noteMoved(inserts, dstID, pl)
 			return 1
 		case migSkipped:
 			// The destination already held a newer client-written copy:
@@ -768,9 +763,7 @@ func (mc *MultiCluster) migrateSlot(src, dst *Client, dstID int, s hashtable.Slo
 			// way a blocked insert would; for a lost publish CAS, simply
 			// re-attempt with a fresh snapshot (presence is re-checked).
 			if pl.ins.outcome == setNoFree {
-				if !dst.bucketEvict(pl.ins.scanned) {
-					dst.reclaimOldestHistory(pl.ins.scanned)
-				}
+				dst.makeRoom(pl.ins.slots)
 			}
 		case migRetry:
 			// The source slot changed while we copied it (the plan already

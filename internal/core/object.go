@@ -1,6 +1,9 @@
 package core
 
-import "encoding/binary"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // Object block layout in the heap. The extension metadata lives directly
 // after the fixed header so eviction can fetch slots' extensions with a
@@ -27,7 +30,7 @@ import "encoding/binary"
 // carries EXACTLY that stamp. A reused block carries a different stamp
 // (every staging is unique, including CAS-losing stagings that were
 // never published), and a freed-but-not-yet-reused block has its stamp
-// cleared by the freeing client (freeStampAsync in plan.go) — so a
+// cleared by the freeing client (releaseBlock in plan.go) — so a
 // matching stamp proves the block still holds the same published image
 // the hint was built from. ver 0 never validates.
 const objHeader = 24
@@ -43,13 +46,8 @@ func objBytes(keyLen, valLen, extLen int) int {
 	return objHeader + extLen + keyLen + valLen
 }
 
-// encodeObject serializes an object block.
-func encodeObject(key, value, ext []byte, tenant TenantID, expiry int64, ver uint64) []byte {
-	return encodeObjectInto(nil, key, value, ext, tenant, expiry, ver)
-}
-
-// encodeObjectInto is encodeObject building into buf (reused when it
-// has capacity) — the allocation-free form pooled set plans use; every
+// encodeObjectInto serializes an object block into buf (reused when it
+// has capacity, so pooled set plans stage without allocating); every
 // byte of the image is written, so a recycled buffer needs no clearing.
 func encodeObjectInto(buf, key, value, ext []byte, tenant TenantID, expiry int64, ver uint64) []byte {
 	buf = grow(buf, objBytes(len(key), len(value), len(ext)))
@@ -106,4 +104,14 @@ func decodeObject(buf []byte) decodedObject {
 			uint64(binary.LittleEndian.Uint32(buf[objVerOff+2:])),
 		ok: true,
 	}
+}
+
+// matchObject parses a READ object image and reports whether it is a
+// well-formed image of key — THE match test of every read that lands on
+// memory a slot or hint pointed at, which a concurrent free may have
+// handed to another object, or to garbage, in the meantime: the key
+// walk's candidates and the speculative Get's hinted block.
+func matchObject(buf, key []byte) (decodedObject, bool) {
+	dec := decodeObject(buf)
+	return dec, dec.ok && bytes.Equal(dec.key, key)
 }

@@ -3,16 +3,24 @@ package core
 // The verb plans: each cache operation's one-sided verb sequence (§4.1),
 // written ONCE as an exec.Plan and executed under either strategy.
 //
-//	Get:     bucket READ(s) → object READ(s)                → hit/miss/stale
+//	Get:     key walk                                       → hit/miss/stale
 //	SpecGet: ONE hinted object READ, validated in place     → hit/fall back
-//	Set:     bucket READ(s) → object READ(s) → classify →
-//	         object WRITE → publish CAS                     → done/noFree/casLost
+//	Set:     key walk → classify → object WRITE →
+//	         publish CAS                                    → done/noFree/casLost
 //	Migrate: Set in insert-if-absent mode (absence verified
 //	         in BOTH buckets, metadata carried over, post-
-//	         publish duplicate sweep) → source delete CAS    → moved/skipped/retry
-//	Delete:  bucket READs → object READs → delete CASes     → deleted?
+//	         publish duplicate sweep = a second key walk
+//	         that skips the published slot) → source
+//	         delete CAS                                     → moved/skipped/retry
+//	Delete:  key walk → delete CASes                        → deleted?
 //
-// Serial traversal (exec.Serial) is lazy and reproduces the hand-written
+// The key walk (keyWalk) is the step every keyed operation shares: READ
+// the key's bucket(s) in the sample-friendly hash table, READ the
+// fingerprint-matching objects, compare the inline key. It is defined
+// once and embedded; each plan adds only what is its own (the table in
+// docs/ARCHITECTURE.md, "The verb-plan executor").
+//
+// Serial traversal (exec.Serial) is lazy and reproduces the paper's
 // per-key paths verb for verb: a Get that hits in the main bucket never
 // reads the backup bucket, an insert stops at the first bucket with a
 // reclaimable slot. Doorbell traversal (exec.Doorbell) is eager — both
@@ -21,14 +29,12 @@ package core
 // lost CAS, full bucket) finish the plan with that outcome and the
 // driver demotes the key to the serial retry loop.
 //
-// Metadata maintenance stays off the critical path exactly as before:
-// plans issue only the synchronous critical-path verbs; frequency FAAs
-// (via the FC cache), last_ts and insert-metadata WRITEs ride
-// asynchronously from the completion hooks.
+// Metadata maintenance stays off the critical path: plans issue only the
+// synchronous critical-path verbs; frequency FAAs (via the FC cache),
+// last_ts and insert-metadata WRITEs ride asynchronously from the
+// completion hooks.
 
 import (
-	"bytes"
-
 	"ditto/internal/cachealgo"
 	"ditto/internal/exec"
 	"ditto/internal/hashtable"
@@ -38,29 +44,24 @@ import (
 	"ditto/internal/rdma"
 )
 
-// bucketVerb is the bucket READ of a plan stage, delivered into the
-// plan-owned buffer at *buf (sized here, allocated at most once per
-// pooled plan). A nil *buf pointer keeps the allocate-per-READ shape.
-func (c *Client) bucketVerb(b int, buf *[]byte) exec.Verb {
-	op := c.cl.Layout.BucketReadOp(b)
-	if buf != nil {
-		*buf = grow(*buf, op.Len)
-		op.Buf = *buf
-	}
+// readVerb is a READ delivered into the plan-owned buffer at *buf (sized
+// here, allocated at most once per pooled plan).
+func (c *Client) readVerb(op rdma.BatchOp, buf *[]byte) exec.Verb {
+	*buf = grow(*buf, op.Len)
+	op.Buf = *buf
 	return exec.Verb{EP: c.ep, Op: op}
 }
 
-// objectVerb is the object READ behind a slot, delivered into the
-// plan-owned buffer at *buf (see bucketVerb).
+// bucketVerb is the bucket READ of the key walk.
+func (c *Client) bucketVerb(b int, buf *[]byte) exec.Verb {
+	return c.readVerb(c.cl.Layout.BucketReadOp(b), buf)
+}
+
+// objectVerb is the object READ behind a slot.
 func (c *Client) objectVerb(s hashtable.Slot, buf *[]byte) exec.Verb {
-	op := rdma.BatchOp{
+	return c.readVerb(rdma.BatchOp{
 		Kind: rdma.BatchRead, Addr: s.Atomic.Pointer(), Len: s.Atomic.SizeBytes(),
-	}
-	if buf != nil {
-		*buf = grow(*buf, op.Len)
-		op.Buf = *buf
-	}
-	return exec.Verb{EP: c.ep, Op: op}
+	}, buf)
 }
 
 // casVerb is a slot-atomic CAS.
@@ -98,24 +99,34 @@ func (c *Client) metaWriteAsync(addr uint64, data []byte) {
 	c.ep.WriteAsync(addr, data)
 }
 
-// freeStampAsync clears a published block's tenant+incarnation bytes
-// with one asynchronous 8-byte WRITE before the block is freed, so a
-// lingering image in freed-but-not-yet-reused memory can never validate
-// a speculative read (object.go: ver 0 never validates). That closes the
-// resurrection window for deleted/evicted keys and the stale-read window
-// for superseded updates; block REUSE needs no stamp at all, since the
-// next image's unique ver already mismatches every outstanding hint.
+// releaseBlock is THE settlement of a published block this client just
+// unlinked from its slot (the unlinking CAS won): clear the block's
+// tenant+incarnation bytes with one asynchronous 8-byte WRITE, free it,
+// drop the slot's buffered FC delta, credit the bytes back to the tenant
+// they were charged to. vacated is the slot's address when the slot
+// itself was emptied (delete, eviction, migration, undo) and 0 when it
+// was re-pointed at a new image (an out-of-place update keeps the slot
+// and its buffered delta).
 //
-// MUST be called BEFORE alloc.Free of the same block — after the free,
-// another client may already have reallocated and republished the
-// address, and the stamp would corrupt a live object. Gated on specMode:
-// with the location cache off nothing ever reads the stamp, and skipping
-// the WRITE keeps the seed's verb shapes byte-for-byte.
-func (c *Client) freeStampAsync(addr uint64) {
-	if !c.cl.specMode() {
-		return
+// The stamp is what keeps a lingering image in freed-but-not-yet-reused
+// memory from ever validating a speculative read (object.go: ver 0 never
+// validates); block REUSE needs none, since the next image's unique ver
+// already mismatches every outstanding hint — which is also why a
+// CAS-losing staged block, never published, is freed unstamped. The
+// stamp MUST precede the free: after it, another client may already
+// have reallocated and republished the address, and the stamp would
+// corrupt a live object. It is gated on specMode: with the location
+// cache off nothing ever reads it, and skipping the WRITE keeps the
+// seed's verb shapes byte-for-byte.
+func (c *Client) releaseBlock(atom hashtable.AtomicField, vacated uint64, t TenantID) {
+	if c.cl.specMode() {
+		c.ep.WriteAsync(atom.Pointer()+objTenantOff, c.stamp8[:])
 	}
-	c.ep.WriteAsync(addr+objTenantOff, c.stamp8[:])
+	c.alloc.Free(atom.Pointer(), atom.SizeBytes())
+	if vacated != 0 {
+		c.fc.Forget(vacated)
+	}
+	c.accountTenant(t, -int64(atom.SizeBytes()))
 }
 
 // probeConventionalIndex models the conventional design's per-miss probe
@@ -143,18 +154,10 @@ func (c *Client) readObjects(slots []hashtable.Slot) [][]byte {
 	return out
 }
 
-// keyBuckets returns a key's main and backup bucket, in scan order.
-func (c *Client) keyBuckets(kh uint64) [2]int {
-	return [2]int{c.cl.Layout.MainBucket(kh), c.cl.Layout.BackupBucket(kh)}
-}
-
 // stageEnd returns the exclusive end of one stage's next verb group:
 // the single next item under lazy traversal, every remaining item under
 // eager — the shared emission rule of all plan stages. next is the
 // stage's progress cursor (advanced by Absorb), total its item count.
-// Each Step emits the group [next, stageEnd) into the plan's own verbs
-// scratch; the closure-per-stage emission helper this replaces was one
-// of the hot path's top allocation sites.
 func stageEnd(eager bool, next, total int) int {
 	if eager {
 		return total
@@ -162,29 +165,123 @@ func stageEnd(eager bool, next, total int) int {
 	return next + 1
 }
 
-// ------------------------------------------------------------------- Get ----
+// -------------------------------------------------------------- Key walk ----
 
-// getPlan states.
-const (
-	gBuckets = iota
-	gObjects
-	gDone
-)
+// walkCand is one live slot of the key's buckets whose fingerprint
+// matches the key, with the object behind it once the walk has read it.
+type walkCand struct {
+	slot  hashtable.Slot
+	bkt   int           // which of the key's buckets held it: 0 main, 1 backup
+	dec   decodedObject // the object image, valid once absorbed
+	match bool          // dec is a well-formed image of the walk's key
+}
 
-// getPlan is one Get attempt: stage bucket READs, stage candidate object
-// READs, with the stale-snapshot fallback edge surfaced as the `stale`
-// outcome (the driver re-runs a fresh attempt, bounded by getRetries).
-type getPlan struct {
+// keyWalk is the lookup every keyed plan starts with (and the migrate
+// sweep and the reshard verification repeat): READ the key's main then
+// backup bucket, READ the object behind every fingerprint-matching live
+// slot, decode it and compare the inline key. The walk owns the bucket
+// list, both cursors, the fingerprint filter, the lazy-vs-eager group
+// emission and the READ delivery buffers; what a match MEANS — first
+// live one wins, every one is deleted, any one vetoes an insert — is the
+// embedding plan's, read off the candidates absorb returns.
+//
+// Candidates are read before the next bucket, so a lazy traversal that
+// stops at a match in the main bucket never touches the backup bucket.
+type keyWalk struct {
 	c       *Client
 	key     []byte
 	kh      uint64
 	fp      byte
 	buckets [2]int
+	skip    uint64 // slot address the walk passes over (0: none)
 
-	st    int
-	bi    int              // next bucket to absorb
-	cands []hashtable.Slot // fingerprint-matching live slots, scan order
-	ci    int              // next candidate to absorb
+	bi      int              // buckets absorbed
+	ci      int              // candidates absorbed
+	objects bool             // the in-flight group is object READs
+	slots   []hashtable.Slot // every slot read so far, in scan order
+	bktOff  [3]int           // bucket i's slots are slots[bktOff[i]:bktOff[i+1]]
+	cands   []walkCand
+
+	// Pooled scratch, kept across aim: verb-group emission (shared with
+	// the embedding plan's own stages) and the READ delivery buffers, one
+	// per verb index so in-flight READs of one stage never share one.
+	verbs   []exec.Verb
+	bktBuf  [][]byte
+	objBufs [][]byte
+}
+
+// aim points the walk at key, keeping its scratch buffers.
+func (w *keyWalk) aim(c *Client, key []byte) {
+	kh := hashtable.KeyHash(key)
+	w.c, w.key, w.kh = c, key, kh
+	w.fp = hashtable.Fingerprint(kh)
+	w.buckets = [2]int{c.cl.Layout.MainBucket(kh), c.cl.Layout.BackupBucket(kh)}
+	w.rewind(0)
+}
+
+// rewind restarts the walk over the same key, passing over the slot at
+// skip — the "is there ANOTHER copy" form.
+func (w *keyWalk) rewind(skip uint64) {
+	w.skip = skip
+	w.bi, w.ci = 0, 0
+	w.slots, w.cands = w.slots[:0], w.cands[:0]
+	w.bktOff = [3]int{}
+}
+
+// step emits the walk's next READ group — unread candidates first, else
+// the next bucket(s) — and an empty group once both are exhausted.
+func (w *keyWalk) step(eager bool) []exec.Verb {
+	w.verbs = w.verbs[:0]
+	w.objects = w.ci < len(w.cands)
+	switch {
+	case w.objects:
+		for i := w.ci; i < stageEnd(eager, w.ci, len(w.cands)); i++ {
+			w.verbs = append(w.verbs, w.c.objectVerb(w.cands[i].slot, bufAt(&w.objBufs, i)))
+		}
+	case w.bi < len(w.buckets):
+		for i := w.bi; i < stageEnd(eager, w.bi, len(w.buckets)); i++ {
+			w.verbs = append(w.verbs, w.c.bucketVerb(w.buckets[i], bufAt(&w.bktBuf, i)))
+		}
+	}
+	return w.verbs
+}
+
+// absorb consumes the completions of the group step emitted last. A
+// bucket group is decoded into slots and filtered into candidates; an
+// object group is decoded and key-matched, and the candidates it
+// completed are returned (nil for a bucket group).
+func (w *keyWalk) absorb(res []exec.Result) []walkCand {
+	if w.objects {
+		from := w.ci
+		for _, r := range res {
+			cand := &w.cands[w.ci]
+			cand.dec, cand.match = matchObject(r.Data, w.key)
+			w.ci++
+		}
+		return w.cands[from:w.ci]
+	}
+	for _, r := range res {
+		w.slots = w.c.cl.Layout.AppendBucket(w.slots, w.buckets[w.bi], r.Data)
+		for _, s := range w.slots[w.bktOff[w.bi]:] {
+			if s.Addr != w.skip && !s.Atomic.IsEmpty() && !s.Atomic.IsHistory() && s.Atomic.FP() == w.fp {
+				w.cands = append(w.cands, walkCand{slot: s, bkt: w.bi})
+			}
+		}
+		w.bi++
+		w.bktOff[w.bi] = len(w.slots)
+	}
+	return nil
+}
+
+// ------------------------------------------------------------------- Get ----
+
+// getPlan is one Get attempt: the key walk, stopped at the first live
+// match, with the stale-snapshot fallback edge surfaced as the `stale`
+// outcome (Client.walk re-runs a fresh attempt, bounded by getRetries).
+// Its own: the history entries of the key it passes (regret collection
+// on a miss) and the lease check.
+type getPlan struct {
+	keyWalk
 
 	histMatches []hashtable.Slot
 	stale       bool
@@ -197,106 +294,45 @@ type getPlan struct {
 	hit  bool
 	slot hashtable.Slot
 	dec  decodedObject
-
-	// Pooled scratch, kept across reset: verb-group emission, READ
-	// delivery buffers (one per verb index), and bucket decoding.
-	verbs    []exec.Verb
-	bktBuf   [][]byte
-	objBufs  [][]byte
-	decSlots []hashtable.Slot
 }
 
 // reset re-aims the plan at key, keeping its scratch buffers.
-func (pl *getPlan) reset(c *Client, key []byte) {
-	kh := hashtable.KeyHash(key)
-	pl.c, pl.key, pl.kh = c, key, kh
-	pl.fp = hashtable.Fingerprint(kh)
-	pl.buckets = c.keyBuckets(kh)
-	pl.st, pl.bi, pl.ci = gBuckets, 0, 0
-	pl.cands = pl.cands[:0]
+func (pl *getPlan) reset(c *Client, key []byte) *getPlan {
+	pl.aim(c, key)
 	pl.histMatches = pl.histMatches[:0]
 	pl.stale, pl.hit = false, false
 	pl.rnow = c.p.Now()
 	pl.slot, pl.dec = hashtable.Slot{}, decodedObject{}
-}
-
-func (c *Client) newGetPlan(key []byte) *getPlan {
-	pl := &getPlan{}
-	pl.reset(c, key)
 	return pl
 }
 
 func (pl *getPlan) Step(eager bool) []exec.Verb {
-	for {
-		switch pl.st {
-		case gBuckets:
-			if pl.bi >= len(pl.buckets) {
-				pl.st = gDone
-				continue
-			}
-			pl.verbs = pl.verbs[:0]
-			for i := pl.bi; i < stageEnd(eager, pl.bi, len(pl.buckets)); i++ {
-				pl.verbs = append(pl.verbs, pl.c.bucketVerb(pl.buckets[i], bufAt(&pl.bktBuf, i)))
-			}
-			return pl.verbs
-		case gObjects:
-			if pl.ci >= len(pl.cands) {
-				pl.st = gBuckets
-				continue
-			}
-			pl.verbs = pl.verbs[:0]
-			for i := pl.ci; i < stageEnd(eager, pl.ci, len(pl.cands)); i++ {
-				pl.verbs = append(pl.verbs, pl.c.objectVerb(pl.cands[i], bufAt(&pl.objBufs, i)))
-			}
-			return pl.verbs
-		default:
-			return nil
-		}
+	if pl.hit {
+		return nil
 	}
+	return pl.step(eager)
 }
 
 func (pl *getPlan) Absorb(res []exec.Result) {
-	switch pl.st {
-	case gBuckets:
-		for _, r := range res {
-			b := pl.buckets[pl.bi]
-			pl.bi++
-			pl.decSlots = pl.c.cl.Layout.AppendBucket(pl.decSlots[:0], b, r.Data)
-			for _, s := range pl.decSlots {
-				switch {
-				case s.Atomic.IsEmpty():
-				case s.Atomic.IsHistory():
-					if s.Hash == pl.kh {
-						pl.histMatches = append(pl.histMatches, s)
-					}
-				case s.Atomic.FP() == pl.fp:
-					pl.cands = append(pl.cands, s)
-				}
-			}
+	seen := len(pl.slots)
+	fresh := pl.absorb(res)
+	for _, s := range pl.slots[seen:] {
+		if s.Atomic.IsHistory() && s.Hash == pl.kh {
+			pl.histMatches = append(pl.histMatches, s)
 		}
-		if pl.ci < len(pl.cands) {
-			pl.st = gObjects
-		}
-	case gObjects:
-		for _, r := range res {
-			s := pl.cands[pl.ci]
-			pl.ci++
-			dec := decodeObject(r.Data)
-			if !dec.ok {
-				pl.stale = true // reused memory behind a stale slot snapshot
-				continue
-			}
-			if !bytes.Equal(dec.key, pl.key) {
-				continue // fingerprint collision
-			}
-			if pl.c.cl.tenantMode && dec.expired(pl.rnow) {
-				// A lapsed lease reads as a miss immediately; reclaiming the
-				// block is the eviction sampler's job (never a reader's —
-				// the read path stays write-free).
-				continue
-			}
-			pl.hit, pl.slot, pl.dec = true, s, dec
-			pl.st = gDone
+	}
+	for i := range fresh {
+		cand := &fresh[i]
+		switch {
+		case !cand.dec.ok:
+			pl.stale = true // reused memory behind a stale slot snapshot
+		case !cand.match: // fingerprint collision
+		case pl.c.cl.tenantMode && cand.dec.expired(pl.rnow):
+			// A lapsed lease reads as a miss immediately; reclaiming the
+			// block is the eviction sampler's job (never a reader's —
+			// the read path stays write-free).
+		default:
+			pl.hit, pl.slot, pl.dec = true, cand.slot, cand.dec
 			return // first match wins; later candidates are stale copies
 		}
 	}
@@ -304,22 +340,16 @@ func (pl *getPlan) Absorb(res []exec.Result) {
 
 // --------------------------------------------------- Speculative Get ----
 
-// specGetPlan states.
-const (
-	spRead = iota
-	spDone
-)
-
 // specGetPlan is the one-RTT speculative Get behind a location-cache
 // hint: ONE READ of the hinted block at its remembered size class, then
-// in-place validation of the returned image against the hint — the
-// 24-byte header must decode, the incarnation stamp must equal the
-// hint's exactly (object.go explains why that is sufficient), the inline
-// key must match, the tenant must match, and under tenantMode the lease
-// must be live. Any failure leaves ok=false and the driver falls back to
-// the ordinary two-RTT getPlan; a speculative plan NEVER retries or
-// issues further verbs, so the hint-hit path is exactly one verb (pinned
-// by TestSpecGetVerbBudget).
+// in-place validation of the returned image against the hint — the image
+// must decode and carry the key (matchObject, the walk's own test), the
+// incarnation stamp must equal the hint's exactly (object.go explains
+// why that is sufficient), the tenant must match, and under tenantMode
+// the lease must be live. Any failure leaves ok=false and the driver
+// falls back to the ordinary two-RTT getPlan; a speculative plan NEVER
+// retries or issues further verbs, so the hint-hit path is exactly one
+// verb (pinned by TestSpecGetVerbBudget).
 //
 // Under Doorbell the plan is single-stage: its READ joins the batch's
 // first doorbell alongside unhinted keys' bucket READs, and Step returns
@@ -333,9 +363,9 @@ type specGetPlan struct {
 	// captured at reset (same convention as getPlan).
 	rnow int64
 
-	st  int
-	ok  bool
-	dec decodedObject
+	read bool // the READ has been absorbed
+	ok   bool
+	dec  decodedObject
 
 	// Pooled scratch, kept across reset: verb-group emission and the READ
 	// delivery buffer.
@@ -344,22 +374,16 @@ type specGetPlan struct {
 }
 
 // reset re-aims the plan at key/hint, keeping its scratch buffers.
-func (pl *specGetPlan) reset(c *Client, key []byte, h loccache.Hint) {
+func (pl *specGetPlan) reset(c *Client, key []byte, h loccache.Hint) *specGetPlan {
 	pl.c, pl.key, pl.hint = c, key, h
 	pl.rnow = c.p.Now()
-	pl.st = spRead
-	pl.ok = false
+	pl.read, pl.ok = false, false
 	pl.dec = decodedObject{}
-}
-
-func (c *Client) newSpecGetPlan(key []byte, h loccache.Hint) *specGetPlan {
-	pl := &specGetPlan{}
-	pl.reset(c, key, h)
 	return pl
 }
 
 func (pl *specGetPlan) Step(eager bool) []exec.Verb {
-	if pl.st != spRead {
+	if pl.read {
 		return nil
 	}
 	pl.buf = grow(pl.buf, pl.hint.Len)
@@ -370,11 +394,10 @@ func (pl *specGetPlan) Step(eager bool) []exec.Verb {
 }
 
 func (pl *specGetPlan) Absorb(res []exec.Result) {
-	pl.st = spDone
-	dec := decodeObject(res[0].Data)
+	pl.read = true
+	dec, match := matchObject(res[0].Data, pl.key)
 	h := &pl.hint
-	if !dec.ok || dec.ver == 0 || dec.ver != h.Ver ||
-		!bytes.Equal(dec.key, pl.key) || dec.tenant != TenantID(h.Tenant) {
+	if !match || dec.ver == 0 || dec.ver != h.Ver || dec.tenant != TenantID(h.Tenant) {
 		return // block freed, reused, or never what we thought: fall back
 	}
 	if pl.c.cl.tenantMode && dec.expired(pl.rnow) {
@@ -389,12 +412,10 @@ func (pl *specGetPlan) Absorb(res []exec.Result) {
 
 // setPlan states.
 const (
-	sBuckets = iota
-	sObjects
-	sWrite
-	sCAS
-	sSweepBuckets // migrate mode: post-publish duplicate sweep
-	sSweepObjects
+	sScan  = iota // the key walk
+	sWrite        // object WRITE
+	sCAS          // publishing CAS
+	sSweep        // migrate mode: post-publish duplicate sweep (second walk)
 	sDone
 )
 
@@ -413,35 +434,25 @@ const (
 	pInsert
 )
 
-// setCand is one fingerprint-matching slot, tagged with which of the
-// key's buckets (0 = main, 1 = backup) held it.
-type setCand struct {
-	bkt  int
-	slot hashtable.Slot
-	dec  decodedObject
-	got  bool
-}
-
-// setPlan is one Set attempt (§4.1 UPDATE/INSERT): stage bucket READs,
-// stage candidate object READs, classify update-in-place vs insert with
-// the same per-bucket precedence as the hand-written path (a bucket's
-// key match beats its reclaimable slot beats the next bucket), then
-// stage the object WRITE and the publishing CAS.
+// setPlan is one Set attempt (§4.1 UPDATE/INSERT): the key walk, then
+// classify update-in-place vs insert with a fixed per-bucket precedence
+// (a bucket's key match beats its reclaimable slot beats the next
+// bucket), then stage the object WRITE and the publishing CAS. Its own:
+// that classification, the reclaimable-slot search over the walk's
+// slots, the staged image and the post-CAS settlement.
 //
 // In migrate mode the plan is the resharder's insert-if-absent: the
 // absence check covers BOTH buckets before committing (a newer
 // client-written copy in the backup bucket must win), the carried
 // metadata is written instead of fresh metadata, and a post-publish
-// duplicate sweep re-reads the buckets — a racing Set that read them
-// before our CAS landed can have published the same key into a different
-// slot; that copy is newer by construction, so ours yields.
+// duplicate sweep walks the buckets again, passing over the slot just
+// published — a racing Set that read them before our CAS landed can
+// have published the same key into a different slot; that copy is newer
+// by construction, so ours yields.
 type setPlan struct {
-	c          *Client
-	key, value []byte
-	kh         uint64
-	fp         byte
-	size       int
-	buckets    [2]int
+	keyWalk
+	value []byte
+	size  int
 
 	migrate            bool
 	mExt               []byte
@@ -459,14 +470,9 @@ type setPlan struct {
 	rnow   int64
 	expUpd bool
 
-	st          int
-	lastEager   bool // traversal mode of the in-flight group
-	bi          int
-	doneBkt     int              // first bucket whose post-candidate logic hasn't run
-	scanned     []hashtable.Slot // every slot seen (bucketEvict fallback)
-	bucketSlots [2][]hashtable.Slot
-	cands       []setCand
-	ci          int
+	st        int
+	lastEager bool // traversal mode of the in-flight group
+	doneBkt   int  // first bucket whose post-candidate logic hasn't run
 
 	mode    int
 	updSlot hashtable.Slot
@@ -483,40 +489,24 @@ type setPlan struct {
 	outcome  int
 	slotAddr uint64 // published slot (migrate: undo handle with `want`)
 
-	swBi    int
-	swCands []hashtable.Slot
-	swi     int
-
-	// Pooled scratch, kept across reset: verb-group emission, READ
-	// delivery buffers, bucket decoding, and the extension/object-image
-	// build buffers (extBuf backs the ext passed to stage; data backs
-	// the staged WRITE and is retained until the publishing CAS).
-	verbs    []exec.Verb
-	bktBuf   [][]byte
-	objBufs  [][]byte
-	decSlots []hashtable.Slot
-	extBuf   []byte
+	// Pooled scratch, kept across reset: the extension/object-image build
+	// buffers (extBuf backs the ext passed to stage; data backs the
+	// staged WRITE and is retained until the publishing CAS).
+	extBuf []byte
 }
 
 // reset re-aims the plan at key/value in normal (non-migrate) mode,
 // keeping its scratch buffers.
-func (pl *setPlan) reset(c *Client, key, value []byte) {
-	kh := hashtable.KeyHash(key)
-	pl.c, pl.key, pl.value, pl.kh = c, key, value, kh
-	pl.fp = hashtable.Fingerprint(kh)
+func (pl *setPlan) reset(c *Client, key, value []byte) *setPlan {
+	pl.aim(c, key)
+	pl.value = value
 	pl.size = objBytes(len(key), len(value), c.cl.totalExt)
-	pl.buckets = c.keyBuckets(kh)
 	pl.migrate, pl.mExt = false, nil
 	pl.mInsertTs, pl.mLastTs, pl.mFreq = 0, 0, 0
 	pl.tenant, pl.expiry = c.tenant, c.nextExpiry
 	pl.rnow = c.p.Now()
 	pl.expUpd = false
-	pl.st, pl.lastEager = sBuckets, false
-	pl.bi, pl.doneBkt, pl.ci = 0, 0, 0
-	pl.scanned = pl.scanned[:0]
-	pl.bucketSlots[0] = pl.bucketSlots[0][:0]
-	pl.bucketSlots[1] = pl.bucketSlots[1][:0]
-	pl.cands = pl.cands[:0]
+	pl.st, pl.lastEager, pl.doneBkt = sScan, false, 0
 	pl.mode = pUpdate
 	pl.updSlot, pl.insSlot = hashtable.Slot{}, hashtable.Slot{}
 	pl.updDec = decodedObject{}
@@ -526,25 +516,6 @@ func (pl *setPlan) reset(c *Client, key, value []byte) {
 	pl.want = 0
 	pl.outcome = setPending
 	pl.slotAddr = 0
-	pl.swBi, pl.swi = 0, 0
-	pl.swCands = pl.swCands[:0]
-}
-
-func (c *Client) newSetPlan(key, value []byte) *setPlan {
-	pl := &setPlan{}
-	pl.reset(c, key, value)
-	return pl
-}
-
-// newMigrateSetPlan builds the insert-if-absent flavour carrying the
-// access metadata — and the tenant/lease header stamp — the key had on
-// its old memory node.
-func (c *Client) newMigrateSetPlan(key, value, ext []byte, insertTs, lastTs int64,
-	freq uint64, tenant TenantID, expiry int64) *setPlan {
-	pl := c.newSetPlan(key, value)
-	pl.migrate = true
-	pl.mExt, pl.mInsertTs, pl.mLastTs, pl.mFreq = ext, insertTs, lastTs, freq
-	pl.tenant, pl.expiry = tenant, expiry
 	return pl
 }
 
@@ -552,183 +523,99 @@ func (pl *setPlan) Step(eager bool) []exec.Verb {
 	pl.lastEager = eager
 	for {
 		switch pl.st {
-		case sBuckets:
-			if pl.bi >= len(pl.buckets) {
-				pl.finishScan()
-				continue
+		case sScan:
+			if vs := pl.step(eager); len(vs) > 0 {
+				return vs
 			}
-			pl.verbs = pl.verbs[:0]
-			for i := pl.bi; i < stageEnd(eager, pl.bi, len(pl.buckets)); i++ {
-				pl.verbs = append(pl.verbs, pl.c.bucketVerb(pl.buckets[i], bufAt(&pl.bktBuf, i)))
-			}
-			return pl.verbs
-		case sObjects:
-			if pl.ci >= len(pl.cands) {
-				pl.st = sBuckets
-				continue
-			}
-			pl.verbs = pl.verbs[:0]
-			for i := pl.ci; i < stageEnd(eager, pl.ci, len(pl.cands)); i++ {
-				pl.verbs = append(pl.verbs, pl.c.objectVerb(pl.cands[i].slot, bufAt(&pl.objBufs, i)))
-			}
-			return pl.verbs
+			pl.finishScan()
 		case sWrite:
 			pl.verbs = append(pl.verbs[:0], exec.Verb{EP: pl.c.ep, Op: rdma.BatchOp{
 				Kind: rdma.BatchWrite, Addr: pl.addr, Data: pl.data,
 			}})
 			return pl.verbs
 		case sCAS:
-			target := pl.insSlot
-			if pl.mode == pUpdate {
-				target = pl.updSlot
-			}
+			target := pl.target()
 			pl.verbs = append(pl.verbs[:0], casVerb(pl.c, target.Addr, target.Atomic, pl.want))
 			return pl.verbs
-		case sSweepBuckets:
-			if pl.swBi >= len(pl.buckets) {
-				pl.outcome = setDone // no duplicate: the insert stands
-				pl.st = sDone
-				continue
+		case sSweep:
+			if vs := pl.step(eager); len(vs) > 0 {
+				return vs
 			}
-			// Migrate-mode only (cold): no plan-owned delivery buffer.
-			pl.verbs = pl.verbs[:0]
-			for i := pl.swBi; i < stageEnd(eager, pl.swBi, len(pl.buckets)); i++ {
-				pl.verbs = append(pl.verbs, pl.c.bucketVerb(pl.buckets[i], nil))
-			}
-			return pl.verbs
-		case sSweepObjects:
-			if pl.swi >= len(pl.swCands) {
-				pl.st = sSweepBuckets
-				continue
-			}
-			pl.verbs = pl.verbs[:0]
-			for i := pl.swi; i < stageEnd(eager, pl.swi, len(pl.swCands)); i++ {
-				pl.verbs = append(pl.verbs, pl.c.objectVerb(pl.swCands[i], nil))
-			}
-			return pl.verbs
+			pl.outcome = setDone // no duplicate: the insert stands
+			pl.st = sDone
 		default:
 			return nil
 		}
 	}
 }
 
+// target is the slot the publishing CAS aims at.
+func (pl *setPlan) target() hashtable.Slot {
+	if pl.mode == pUpdate {
+		return pl.updSlot
+	}
+	return pl.insSlot
+}
+
 func (pl *setPlan) Absorb(res []exec.Result) {
+	c := pl.c
 	switch pl.st {
-	case sBuckets:
-		for _, r := range res {
-			b := pl.buckets[pl.bi]
-			slots := pl.c.cl.Layout.AppendBucket(pl.bucketSlots[pl.bi][:0], b, r.Data)
-			pl.bucketSlots[pl.bi] = slots
-			pl.scanned = append(pl.scanned, slots...)
-			for i := range slots {
-				s := slots[i]
-				if s.Atomic.IsEmpty() || s.Atomic.IsHistory() || s.Atomic.FP() != pl.fp {
-					continue
-				}
-				pl.cands = append(pl.cands, setCand{bkt: pl.bi, slot: s})
-			}
-			pl.bi++
-		}
-		if pl.ci < len(pl.cands) {
-			pl.st = sObjects
+	case sScan:
+		// Lazy traversal reads one candidate per group and commits at the
+		// FIRST key match, before later candidates (or the next bucket)
+		// are even read. Eager traversal decodes everything first and lets
+		// classifyThrough apply the per-bucket precedence.
+		if fresh := pl.absorb(res); !pl.lastEager && len(fresh) > 0 && fresh[0].match {
+			pl.matched(&fresh[0])
 			return
 		}
-		pl.classifyThrough(pl.bi)
-	case sObjects:
-		for _, r := range res {
-			cand := &pl.cands[pl.ci]
-			pl.ci++
-			cand.dec = decodeObject(r.Data)
-			cand.got = true
-			// Lazy traversal commits at the FIRST key match, before later
-			// candidates (or the next bucket) are even read — exactly the
-			// hand-written scan. Eager traversal decodes everything first
-			// and lets classifyThrough apply the per-bucket precedence.
-			if !pl.lastEager && cand.dec.ok && bytes.Equal(cand.dec.key, pl.key) {
-				if pl.migrate {
-					pl.outcome = setPresent // newer copy already here; it wins
-					pl.st = sDone
-				} else {
-					if pl.c.cl.tenantMode && cand.dec.expired(pl.rnow) {
-						pl.expUpd = true
-					}
-					pl.startUpdate(*cand)
-				}
-				return
-			}
+		if pl.ci == len(pl.cands) {
+			pl.classifyThrough(pl.bi)
 		}
-		if pl.ci < len(pl.cands) {
-			return // lazy traversal: more candidates to read
-		}
-		pl.classifyThrough(pl.bi)
 	case sWrite:
 		pl.st = sCAS
 	case sCAS:
-		target := pl.insSlot
-		if pl.mode == pUpdate {
-			target = pl.updSlot
-		}
 		if !res[0].Swapped {
-			pl.c.alloc.Free(pl.addr, pl.size)
+			// Never published, so never hinted: freed unstamped.
+			c.alloc.Free(pl.addr, pl.size)
 			pl.outcome = setCASLost
 			pl.st = sDone
 			return
 		}
-		pl.slotAddr = target.Addr
+		pl.slotAddr = pl.target().Addr
 		// Block ownership transferred: charge the new image to the
-		// stamped tenant, credit a superseded block back to ITS tenant
-		// (cross-tenant updates move the bytes between them).
-		pl.c.accountTenant(pl.tenant, int64(pl.want.SizeBytes()))
+		// stamped tenant.
+		c.accountTenant(pl.tenant, int64(pl.want.SizeBytes()))
+		if pl.migrate {
+			c.fc.Forget(pl.slotAddr)
+			c.ht.WriteMetaOnInsert(pl.slotAddr, pl.kh, pl.mInsertTs, pl.mLastTs, pl.mFreq)
+			pl.st = sSweep
+			pl.rewind(pl.slotAddr)
+			return
+		}
+		pl.outcome = setDone
+		pl.st = sDone
 		if pl.mode == pUpdate {
-			pl.c.accountTenant(pl.updDec.tenant, -int64(pl.updSlot.Atomic.SizeBytes()))
-			if pl.expUpd {
-				// The superseded copy's lease had lapsed: finish as an
-				// insert (free the dead block, drop its stale FC delta,
-				// fresh slot metadata) — replacing a dead object is not an
-				// access to it.
-				pl.c.freeStampAsync(pl.updSlot.Atomic.Pointer())
-				pl.c.alloc.Free(pl.updSlot.Atomic.Pointer(), pl.updSlot.Atomic.SizeBytes())
-				pl.c.finishInsert(target.Addr, pl.kh, pl.now)
-			} else {
-				pl.c.finishUpdate(pl.updSlot, len(pl.key), pl.now)
+			// The superseded block goes back to ITS tenant (cross-tenant
+			// updates move the bytes between them); the slot stays
+			// occupied, so its buffered FC delta is kept.
+			c.releaseBlock(pl.updSlot.Atomic, 0, pl.updDec.tenant)
+			if !pl.expUpd {
+				c.fc.Add(pl.slotAddr, len(pl.key))
+				c.ht.TouchLastTs(pl.slotAddr, pl.now)
+				return
 			}
-			pl.outcome = setDone
-			pl.st = sDone
-			return
+			// The superseded copy's lease had lapsed: finish as an insert
+			// (drop its stale FC delta, fresh slot metadata) — replacing a
+			// dead object is not an access to it.
 		}
-		if !pl.migrate {
-			pl.c.finishInsert(target.Addr, pl.kh, pl.now)
-			pl.outcome = setDone
-			pl.st = sDone
-			return
-		}
-		pl.c.fc.Forget(target.Addr)
-		pl.c.ht.WriteMetaOnInsert(target.Addr, pl.kh, pl.mInsertTs, pl.mLastTs, pl.mFreq)
-		pl.st = sSweepBuckets
-	case sSweepBuckets:
-		for _, r := range res {
-			b := pl.buckets[pl.swBi]
-			pl.swBi++
-			pl.decSlots = pl.c.cl.Layout.AppendBucket(pl.decSlots[:0], b, r.Data)
-			for _, s := range pl.decSlots {
-				if s.Addr == pl.slotAddr || s.Atomic.IsEmpty() || s.Atomic.IsHistory() ||
-					s.Atomic.FP() != pl.fp {
-					continue
-				}
-				pl.swCands = append(pl.swCands, s)
-			}
-		}
-		if pl.swi < len(pl.swCands) {
-			pl.st = sSweepObjects
-		}
-	case sSweepObjects:
-		for _, r := range res {
-			pl.swi++
-			dec := decodeObject(r.Data)
-			if dec.ok && bytes.Equal(dec.key, pl.key) {
+		c.finishInsert(pl.slotAddr, pl.kh, pl.now)
+	case sSweep:
+		for _, cand := range pl.absorb(res) {
+			if cand.match {
 				// A racing write published the same key into another slot
 				// after our CAS; that copy is newer — ours must yield.
-				pl.c.dropMigrated(pl.slotAddr, pl.want, pl.tenant)
+				c.dropMigrated(pl.slotAddr, pl.want, pl.tenant)
 				pl.outcome = setPresent
 				pl.st = sDone
 				return
@@ -737,50 +624,37 @@ func (pl *setPlan) Absorb(res []exec.Result) {
 	}
 }
 
-// classifyThrough runs the post-candidate classification for every bucket
-// read so far (buckets [doneBkt, upTo)), with the shared precedence: a
-// bucket's key match beats its reclaimable slot beats the next bucket. In
-// migrate mode a match anywhere wins first (absence must cover both
-// buckets) and the reclaimable slot is only committed once the scan is
-// complete.
-func (pl *setPlan) classifyThrough(upTo int) {
+// matched commits to the copy of the key the scan found: an update in
+// place, or in migrate mode the end of the attempt — the destination
+// already holds a newer copy, and it wins.
+func (pl *setPlan) matched(cand *walkCand) {
 	if pl.migrate {
-		for i := range pl.cands {
-			c := &pl.cands[i]
-			if c.got && c.dec.ok && bytes.Equal(c.dec.key, pl.key) {
-				pl.outcome = setPresent // newer copy already here; it wins
-				pl.st = sDone
-				return
-			}
-		}
-		for b := pl.doneBkt; b < upTo; b++ {
-			if !pl.haveIns {
-				pl.findFree(b)
-			}
-		}
-		pl.doneBkt = upTo
-		if upTo >= len(pl.buckets) {
-			pl.finishScan()
-		}
-		// else: Step continues with the next bucket.
+		pl.outcome = setPresent
+		pl.st = sDone
 		return
 	}
+	pl.expUpd = pl.c.cl.tenantMode && cand.dec.expired(pl.rnow)
+	pl.mode = pUpdate
+	pl.updSlot, pl.updDec = cand.slot, cand.dec
+	pl.stage(pl.updSlot.Atomic.FP())
+}
+
+// classifyThrough runs the post-candidate classification for every bucket
+// read so far (buckets [doneBkt, upTo); all their candidates are read),
+// with the shared precedence: a bucket's key match beats its reclaimable
+// slot beats the next bucket. In migrate mode a match anywhere wins first
+// (absence must cover both buckets) and the reclaimable slot is only
+// committed once the scan is complete.
+func (pl *setPlan) classifyThrough(upTo int) {
 	for b := pl.doneBkt; b < upTo; b++ {
 		for i := range pl.cands {
-			c := &pl.cands[i]
-			if c.bkt != b || !c.got {
-				continue
-			}
-			if c.dec.ok && bytes.Equal(c.dec.key, pl.key) {
-				if pl.c.cl.tenantMode && c.dec.expired(pl.rnow) {
-					pl.expUpd = true
-				}
-				pl.startUpdate(*c)
+			if cand := &pl.cands[i]; cand.match && (cand.bkt == b || pl.migrate) {
+				pl.matched(cand)
 				return
 			}
 		}
 		pl.doneBkt = b + 1
-		if pl.findFree(b) {
+		if pl.findFree(b) && !pl.migrate {
 			pl.startInsert() // insert into the main bucket when possible
 			return
 		}
@@ -795,10 +669,9 @@ func (pl *setPlan) findFree(b int) bool {
 	if pl.haveIns {
 		return true
 	}
-	for i := range pl.bucketSlots[b] {
-		if pl.c.hist.Reclaimable(pl.bucketSlots[b][i]) {
-			pl.insSlot = pl.bucketSlots[b][i]
-			pl.haveIns = true
+	for _, s := range pl.slots[pl.bktOff[b]:pl.bktOff[b+1]] {
+		if pl.c.hist.Reclaimable(s) {
+			pl.insSlot, pl.haveIns = s, true
 			return true
 		}
 	}
@@ -816,14 +689,6 @@ func (pl *setPlan) finishScan() {
 	pl.st = sDone
 }
 
-// startUpdate stages the out-of-place UPDATE: write the new value to a
-// fresh block and CAS the slot's pointer (as in RACE hashing).
-func (pl *setPlan) startUpdate(cand setCand) {
-	pl.mode = pUpdate
-	pl.updSlot, pl.updDec = cand.slot, cand.dec
-	pl.stage(pl.updSlot.Atomic.FP())
-}
-
 // startInsert stages the INSERT into the claimed reclaimable slot.
 func (pl *setPlan) startInsert() {
 	pl.mode = pInsert
@@ -833,20 +698,15 @@ func (pl *setPlan) startInsert() {
 // stage allocates the object block (may evict, with serial verbs — the
 // same off-plan work the hand-written paths did between stages), builds
 // its image and the publishing atomic, and advances to the WRITE stage.
+// An UPDATE is out of place: the new value goes to a fresh block and the
+// CAS re-points the slot (as in RACE hashing).
 func (pl *setPlan) stage(fp byte) {
 	c := pl.c
 	pl.now = c.p.Now()
 	pl.addr = c.allocOrEvict(pl.size)
-	var ext []byte
 	switch {
-	case pl.mode == pUpdate && pl.expUpd:
-		// Superseding an EXPIRED copy: the lease lapsed, so its access
-		// history is void — stage fresh metadata exactly as an insert.
-		pl.extBuf = c.initExts(pl.extBuf, pl.size, pl.now)
-		ext = pl.extBuf
-	case pl.mode == pUpdate:
+	case pl.mode == pUpdate && !pl.expUpd:
 		pl.extBuf = c.updateExt(pl.extBuf, pl.updSlot, pl.updDec, pl.size, pl.now)
-		ext = pl.extBuf
 	case pl.migrate:
 		// The extension layout matches across nodes (same expert list), so
 		// the old node's expert metadata transfers verbatim; pad or trim
@@ -854,187 +714,130 @@ func (pl *setPlan) stage(fp byte) {
 		pl.extBuf = grow(pl.extBuf, c.cl.totalExt)
 		n := copy(pl.extBuf, pl.mExt)
 		clear(pl.extBuf[n:])
-		ext = pl.extBuf
 	default:
+		// An insert — or the supersession of an EXPIRED copy: the lease
+		// lapsed, so its access history is void and fresh metadata is
+		// staged exactly as for an insert.
 		pl.extBuf = c.initExts(pl.extBuf, pl.size, pl.now)
-		ext = pl.extBuf
 	}
 	// Every staged image gets a fresh incarnation stamp — unconditionally,
 	// because nextVer is a plain counter (no RNG, no verbs) and an
 	// unconditional stamp keeps the image layout identical whether or not
 	// speculative Gets are enabled.
 	pl.ver = c.nextVer()
-	pl.data = encodeObjectInto(pl.data, pl.key, pl.value, ext, pl.tenant, pl.expiry, pl.ver)
+	pl.data = encodeObjectInto(pl.data, pl.key, pl.value, pl.extBuf, pl.tenant, pl.expiry, pl.ver)
 	pl.want = hashtable.EncodeAtomic(fp, hashtable.SizeToBlocks(pl.size), pl.addr)
 	pl.st = sWrite
 }
 
 // ---------------------------------------------------------------- Delete ----
 
-// delPlan states.
-const (
-	dBuckets = iota
-	dObjects
-	dCAS
-	dDone
-)
-
-// delPlan removes every live copy of a key: stage bucket READs, stage
-// candidate object READs, stage delete CASes. The scan covers BOTH
-// buckets to completion rather than stopping at the first match: a
-// reshard's migration window can briefly leave two live copies of a key,
-// and deleting only the first would let the survivor resurrect it. A
-// lost CAS means someone else deleted or replaced that copy — keep going.
+// delPlan removes every live copy of a key: the key walk with a delete
+// CAS for every match. The walk covers BOTH buckets to completion rather
+// than stopping at the first match: a reshard's migration window can
+// briefly leave two live copies of a key, and deleting only the first
+// would let the survivor resurrect it. A lost CAS means someone else
+// deleted or replaced that copy — keep going. Its own: the match list
+// and the CASes (the serial path CASes each match as it is found, then
+// resumes the walk where it left off).
 type delPlan struct {
-	c       *Client
-	key     []byte
-	kh      uint64
-	fp      byte
-	buckets [2]int
+	keyWalk
 
-	st      int
-	bi      int
-	cands   []hashtable.Slot
-	ci      int
-	matches []hashtable.Slot
-	mi      int
-
-	// matchMeta parallels matches: the tenant each matched copy is
-	// charged to, and whether its lease had lapsed — an expired copy is
-	// still CASed away and freed, but does not count toward `deleted`
-	// (observationally it was already gone; the TTL≡Delete property test
-	// pins exactly this).
-	matchMeta []delMatch
-	rnow      int64
+	matches []delMatch
+	mi      int  // matches CASed
+	casing  bool // the in-flight group is delete CASes
+	rnow    int64
 
 	deleted bool
-
-	// Pooled scratch, kept across reset (see getPlan).
-	verbs    []exec.Verb
-	bktBuf   [][]byte
-	objBufs  [][]byte
-	decSlots []hashtable.Slot
 }
 
-// delMatch is the per-match tenancy view of a delPlan candidate.
+// delMatch is one matched copy: its slot, the tenant it is charged to,
+// and whether its lease had lapsed — an expired copy is still CASed away
+// and freed, but does not count toward `deleted` (observationally it was
+// already gone; the TTL≡Delete property test pins exactly this).
 type delMatch struct {
+	slot    hashtable.Slot
 	tenant  TenantID
 	expired bool
 }
 
 // reset re-aims the plan at key, keeping its scratch buffers.
-func (pl *delPlan) reset(c *Client, key []byte) {
-	kh := hashtable.KeyHash(key)
-	pl.c, pl.key, pl.kh = c, key, kh
-	pl.fp = hashtable.Fingerprint(kh)
-	pl.buckets = c.keyBuckets(kh)
-	pl.st, pl.bi, pl.ci, pl.mi = dBuckets, 0, 0, 0
-	pl.cands = pl.cands[:0]
-	pl.matches = pl.matches[:0]
-	pl.matchMeta = pl.matchMeta[:0]
+func (pl *delPlan) reset(c *Client, key []byte) *delPlan {
+	pl.aim(c, key)
+	pl.matches, pl.mi = pl.matches[:0], 0
 	pl.rnow = c.p.Now()
 	pl.deleted = false
-}
-
-func (c *Client) newDelPlan(key []byte) *delPlan {
-	pl := &delPlan{}
-	pl.reset(c, key)
 	return pl
 }
 
 func (pl *delPlan) Step(eager bool) []exec.Verb {
-	for {
-		switch pl.st {
-		case dBuckets:
-			if pl.bi >= len(pl.buckets) {
-				if pl.mi < len(pl.matches) {
-					pl.st = dCAS
-					continue
-				}
-				pl.st = dDone
-				continue
+	pl.casing = pl.mi < len(pl.matches)
+	if !pl.casing {
+		return pl.step(eager)
+	}
+	pl.verbs = pl.verbs[:0]
+	for _, m := range pl.matches[pl.mi:stageEnd(eager, pl.mi, len(pl.matches))] {
+		pl.verbs = append(pl.verbs, casVerb(pl.c, m.slot.Addr, m.slot.Atomic, 0))
+	}
+	return pl.verbs
+}
+
+func (pl *delPlan) Absorb(res []exec.Result) {
+	if !pl.casing {
+		fresh := pl.absorb(res)
+		for i := range fresh {
+			if cand := &fresh[i]; cand.match {
+				pl.matches = append(pl.matches, delMatch{
+					slot: cand.slot, tenant: cand.dec.tenant,
+					expired: pl.c.cl.tenantMode && cand.dec.expired(pl.rnow),
+				})
 			}
-			pl.verbs = pl.verbs[:0]
-			for i := pl.bi; i < stageEnd(eager, pl.bi, len(pl.buckets)); i++ {
-				pl.verbs = append(pl.verbs, pl.c.bucketVerb(pl.buckets[i], bufAt(&pl.bktBuf, i)))
-			}
-			return pl.verbs
-		case dObjects:
-			if pl.ci >= len(pl.cands) {
-				pl.st = dBuckets
-				continue
-			}
-			pl.verbs = pl.verbs[:0]
-			for i := pl.ci; i < stageEnd(eager, pl.ci, len(pl.cands)); i++ {
-				pl.verbs = append(pl.verbs, pl.c.objectVerb(pl.cands[i], bufAt(&pl.objBufs, i)))
-			}
-			return pl.verbs
-		case dCAS:
-			if pl.mi >= len(pl.matches) {
-				pl.st = dObjects // lazy: resume the candidate scan where it left off
-				continue
-			}
-			pl.verbs = pl.verbs[:0]
-			for i := pl.mi; i < stageEnd(eager, pl.mi, len(pl.matches)); i++ {
-				pl.verbs = append(pl.verbs, casVerb(pl.c, pl.matches[i].Addr, pl.matches[i].Atomic, 0))
-			}
-			return pl.verbs
-		default:
-			return nil
+		}
+		return
+	}
+	for _, r := range res {
+		m := pl.matches[pl.mi]
+		pl.mi++
+		// On a lost CAS race someone else deleted or replaced this copy;
+		// keep scanning for further copies either way.
+		if r.Swapped {
+			pl.c.releaseBlock(m.slot.Atomic, m.slot.Addr, m.tenant)
+			pl.deleted = pl.deleted || !m.expired
 		}
 	}
 }
 
-func (pl *delPlan) Absorb(res []exec.Result) {
-	switch pl.st {
-	case dBuckets:
-		for _, r := range res {
-			b := pl.buckets[pl.bi]
-			pl.bi++
-			pl.decSlots = pl.c.cl.Layout.AppendBucket(pl.decSlots[:0], b, r.Data)
-			for _, s := range pl.decSlots {
-				if s.Atomic.IsEmpty() || s.Atomic.IsHistory() || s.Atomic.FP() != pl.fp {
-					continue
-				}
-				pl.cands = append(pl.cands, s)
-			}
-		}
-		if pl.ci < len(pl.cands) {
-			pl.st = dObjects
-		}
-	case dObjects:
-		for _, r := range res {
-			s := pl.cands[pl.ci]
-			pl.ci++
-			dec := decodeObject(r.Data)
-			if dec.ok && bytes.Equal(dec.key, pl.key) {
-				pl.matches = append(pl.matches, s)
-				pl.matchMeta = append(pl.matchMeta, delMatch{
-					tenant:  dec.tenant,
-					expired: pl.c.cl.tenantMode && dec.expired(pl.rnow),
-				})
-			}
-		}
-		if pl.mi < len(pl.matches) {
-			pl.st = dCAS // serial path CASes each match as it is found
-		}
-	case dCAS:
-		for _, r := range res {
-			s, m := pl.matches[pl.mi], pl.matchMeta[pl.mi]
-			pl.mi++
-			if r.Swapped {
-				pl.c.freeStampAsync(s.Atomic.Pointer())
-				pl.c.alloc.Free(s.Atomic.Pointer(), s.Atomic.SizeBytes())
-				pl.c.fc.Forget(s.Addr)
-				pl.c.accountTenant(m.tenant, -int64(s.Atomic.SizeBytes()))
-				if !m.expired {
-					pl.deleted = true
-				}
-			}
-			// On a lost CAS race someone else deleted or replaced this
-			// copy; keep scanning for further copies either way.
-		}
+// ------------------------------------------------------------ Copy check ----
+
+// copyPlan is the bare walk as a plan: is there a live copy of the key
+// at any slot other than skip?
+type copyPlan struct {
+	keyWalk
+	found bool
+}
+
+func (pl *copyPlan) Step(eager bool) []exec.Verb {
+	if pl.found {
+		return nil
 	}
+	return pl.step(eager)
+}
+
+func (pl *copyPlan) Absorb(res []exec.Result) {
+	for _, cand := range pl.absorb(res) {
+		pl.found = pl.found || cand.match
+	}
+}
+
+// hasOtherCopy reports whether a live copy of key exists in its buckets
+// at a slot other than exclAddr — the reshard's end-of-window duplicate
+// verification, run serially per migrated insert.
+func (c *Client) hasOtherCopy(key []byte, exclAddr uint64) bool {
+	var pl copyPlan
+	pl.aim(c, key)
+	pl.skip = exclAddr
+	c.runner.Serial.Run(&pl)
+	return pl.found
 }
 
 // ------------------------------------------------------------- Eviction ----
@@ -1062,8 +865,8 @@ const (
 // then — once every expert has nominated and the pre-drawn deciding
 // expert picked the victim — stage the history-ID FAA and the victim CAS
 // (plain CAS-to-empty when adaptive caching is off). The sample start
-// and the deciding expert are drawn from the client RNG at CONSTRUCTION
-// time, so a batch of plans consumes the same random sequence whichever
+// and the deciding expert are drawn from the client RNG at RESET time,
+// so a batch of plans consumes the same random sequence whichever
 // strategy executes it — the hinge of the Serial/Doorbell equivalence.
 //
 // CAS losses and empty windows finish the plan with that outcome; the
@@ -1077,12 +880,12 @@ type evictPlan struct {
 	start    int
 	window   int
 	deciding int
-	now      int64 // priority-evaluation time, fixed at construction
+	now      int64 // priority-evaluation time, fixed at reset
 	fullScan bool
 
 	// Tenancy: overQ snapshots the over-quota tenant set at reset (one
 	// consistent set per batch under either strategy — evictBatch
-	// acquires every plan before running any); expVictim marks a victim
+	// resets every plan before running any); expVictim marks a victim
 	// reclaimed because its lease lapsed — a plain CAS-to-empty with no
 	// history entry and no expert blamed, the Delete-equivalent form.
 	overQ     uint64
@@ -1109,24 +912,15 @@ type evictPlan struct {
 	nomBuf  []int
 }
 
-// newEvictPlan draws the attempt's randomness (window start, then the
-// deciding expert — PickExpert depends only on the current weights, not
-// on the sample, so it can be drawn up front) and precomputes the sample
-// verbs. Construction order therefore fixes the random sequence of a
-// batch regardless of execution strategy; the priority-evaluation time
-// is captured here too, so time-dependent experts (LRFU, Hyperbolic)
-// rank candidates identically under either strategy.
-func (c *Client) newEvictPlan() *evictPlan {
-	pl := &evictPlan{}
-	pl.reset(c)
-	return pl
-}
-
-// reset re-draws the attempt's randomness in construction order (window
-// start, then deciding expert — pooling must consume the client RNG
-// exactly as a fresh plan would) and rebuilds the sample verbs into the
-// plan's scratch.
-func (pl *evictPlan) reset(c *Client) {
+// reset draws the attempt's randomness (window start, then the deciding
+// expert — PickExpert depends only on the current weights, not on the
+// sample, so it can be drawn up front) and rebuilds the sample verbs into
+// the plan's scratch. Reset order therefore fixes the random sequence of
+// a batch regardless of execution strategy — and a pooled plan consumes
+// the client RNG exactly as a fresh one would; the priority-evaluation
+// time is captured here too, so time-dependent experts (LRFU,
+// Hyperbolic) rank candidates identically under either strategy.
+func (pl *evictPlan) reset(c *Client) *evictPlan {
 	pl.c = c
 	pl.k = c.cl.opts.SampleK
 	pl.window = c.evictWindow()
@@ -1161,6 +955,7 @@ func (pl *evictPlan) reset(c *Client) {
 		*b = grow(*b, pl.sampleOps[i].Len)
 		pl.sampleOps[i].Buf = *b
 	}
+	return pl
 }
 
 // evictWindow sizes the sample READ so that ~SampleK live objects are
@@ -1212,11 +1007,7 @@ func (pl *evictPlan) Step(eager bool) []exec.Verb {
 			}
 			pl.verbs = pl.verbs[:0]
 			for i := pl.ei; i < stageEnd(eager, pl.ei, len(pl.cands)); i++ {
-				op := pl.c.extReadOp(pl.cands[i].slot)
-				b := bufAt(&pl.extBufs, i)
-				*b = grow(*b, op.Len)
-				op.Buf = *b
-				pl.verbs = append(pl.verbs, exec.Verb{EP: pl.c.ep, Op: op})
+				pl.verbs = append(pl.verbs, pl.c.readVerb(pl.c.extReadOp(pl.cands[i].slot), bufAt(&pl.extBufs, i)))
 			}
 			return pl.verbs
 		case evFAA:
@@ -1311,65 +1102,37 @@ func (pl *evictPlan) nominate() {
 		pl.cands = pl.cands[:pl.k]
 	}
 	if c.cl.tenantMode {
-		// Lease expiry first: a lapsed entry is dead weight no policy
-		// should out-rank. It is reclaimed with a plain CAS-to-empty —
-		// no history entry, no expert blamed — observationally the same
+		// An expired lease is reclaimed with a plain CAS-to-empty — no
+		// history entry, no expert blamed — observationally the same
 		// removal an explicit Delete would have done.
-		for i := range pl.cands {
-			if ex := pl.cands[i].expiry; ex != 0 && ex <= pl.now {
-				pl.victim = pl.cands[i]
-				pl.expVictim = true
-				pl.st = evCAS
-				return
-			}
+		exp, over := tenantVictims(pl.cands, pl.now, pl.overQ)
+		if exp >= 0 {
+			pl.victim = pl.cands[exp]
+			pl.expVictim = true
+			pl.st = evCAS
+			return
 		}
-		// Quota enforcement: while any tenant is over quota, the experts
-		// nominate only among over-quota candidates — an over-quota
-		// tenant can never displace an in-quota one that has victims
-		// available. A sample with no over-quota candidate is treated
-		// like a lost CAS and resampled (the over-quota tenant's usage
-		// exceeds its quota, so victims exist somewhere in the table);
-		// only a FULL-table scan with no over-quota candidate proves no
-		// such victim remains, and then the global policy may run over
+		// A sample with no over-quota candidate while some tenant is over
+		// quota is treated like a lost CAS and resampled (the over-quota
+		// tenant's usage exceeds its quota, so victims exist somewhere in
+		// the table); only a FULL-table scan with none proves no such
+		// victim remains, and then the global policy may run over
 		// whatever is left.
-		if pl.overQ != 0 {
-			n := 0
-			for i := range pl.cands {
-				if pl.overQ&(1<<uint(pl.cands[i].tenant)) != 0 {
-					pl.cands[n] = pl.cands[i]
-					n++
-				}
-			}
-			if n > 0 {
-				pl.cands = pl.cands[:n]
-			} else if !pl.fullScan {
-				pl.outcome = evictLost
-				pl.st = evDone
-				return
-			}
+		if len(over) > 0 {
+			pl.cands = over
+		} else if pl.overQ != 0 && !pl.fullScan {
+			pl.outcome = evictLost
+			pl.st = evDone
+			return
 		}
 	}
-	now := pl.now
 	pl.nomBuf, pl.prio = pl.nomBuf[:0], pl.prio[:0]
-	for range c.experts {
-		pl.nomBuf = append(pl.nomBuf, 0)
-		pl.prio = append(pl.prio, 0)
+	for e := range c.experts {
+		best, p := c.lowestPriority(e, pl.cands, pl.now)
+		pl.nomBuf = append(pl.nomBuf, best)
+		pl.prio = append(pl.prio, p)
 	}
 	nominee := pl.nomBuf
-	for e, a := range c.experts {
-		best, bestP := -1, 0.0
-		for i := range pl.cands {
-			m := pl.cands[i].meta
-			if off := c.extOff[e]; a.ExtSize() > 0 {
-				m.Ext = pl.cands[i].meta.Ext[off : off+a.ExtSize()]
-			}
-			p := a.Priority(&m, now)
-			if best < 0 || p < bestP {
-				best, bestP = i, p
-			}
-		}
-		nominee[e], pl.prio[e] = best, bestP
-	}
 	pl.victim = pl.cands[nominee[pl.deciding]]
 	// Expert bitmap: every expert whose nominee is this victim shares the
 	// blame if the eviction turns out to be a regret.
@@ -1386,9 +1149,7 @@ func (pl *evictPlan) nominate() {
 }
 
 // finishWin applies the local effects of a won eviction: expert
-// penalties-on-evict, the block free, FC-cache cleanup, stats, and the
-// hot-key hook that lets the replication layer demote an entry whose
-// primary copy was just evicted.
+// penalties-on-evict, then the victim's settlement (settleVictim).
 func (pl *evictPlan) finishWin() {
 	c := pl.c
 	for e, a := range c.experts {
@@ -1399,15 +1160,7 @@ func (pl *evictPlan) finishWin() {
 			obs.OnEvict(pl.prio[e])
 		}
 	}
-	c.freeStampAsync(pl.victim.slot.Atomic.Pointer())
-	c.alloc.Free(pl.victim.slot.Atomic.Pointer(), pl.victim.slot.Atomic.SizeBytes())
-	c.fc.Forget(pl.victim.slot.Addr)
-	c.accountTenant(pl.victim.tenant, -int64(pl.victim.slot.Atomic.SizeBytes()))
-	c.cl.noteVictimBlocks(int(pl.victim.slot.Atomic.SizeBlocks()))
-	c.Stats.Evictions++
-	if c.cl.onEvictHash != nil {
-		c.cl.onEvictHash(pl.victim.slot.Hash)
-	}
+	c.settleVictim(pl.victim)
 	pl.outcome = evictWon
 	pl.st = evDone
 }
@@ -1438,15 +1191,18 @@ type migratePlan struct {
 	outcome  int
 }
 
+// newMigratePlan copies the object out of the scan's READ buffer and
+// aims the destination's insert-if-absent at it, carrying the access
+// metadata — and the tenant/lease header stamp — the key had on its old
+// memory node. Migrate plans are cold-path resharder work owned by
+// transient clients, so they are built fresh, not pooled.
 func newMigratePlan(src, dst *Client, s hashtable.Slot, dec decodedObject) *migratePlan {
-	key := append([]byte(nil), dec.key...)
-	val := append([]byte(nil), dec.value...)
-	ext := append([]byte(nil), dec.ext...)
-	return &migratePlan{
-		src: src, s: s,
-		ins: dst.newMigrateSetPlan(key, val, ext, s.InsertTs, s.LastTs, s.Freq,
-			dec.tenant, dec.expiry),
-	}
+	ins := new(setPlan).reset(dst, append([]byte(nil), dec.key...), append([]byte(nil), dec.value...))
+	ins.migrate = true
+	ins.mExt = append([]byte(nil), dec.ext...)
+	ins.mInsertTs, ins.mLastTs, ins.mFreq = s.InsertTs, s.LastTs, s.Freq
+	ins.tenant, ins.expiry = dec.tenant, dec.expiry
+	return &migratePlan{src: src, s: s, ins: ins}
 }
 
 func (pl *migratePlan) Step(eager bool) []exec.Verb {
@@ -1467,7 +1223,7 @@ func (pl *migratePlan) Step(eager bool) []exec.Verb {
 		return nil
 	}
 	pl.st = 1
-	//dittolint:allow hotalloc (migrate plans are cold-path resharder work and are not pooled — see pool.go)
+	//dittolint:allow hotalloc (migrate plans are cold-path resharder work and are not pooled — see newMigratePlan)
 	return []exec.Verb{casVerb(pl.src, pl.s.Addr, pl.s.Atomic, 0)}
 }
 
@@ -1478,12 +1234,9 @@ func (pl *migratePlan) Absorb(res []exec.Result) {
 	}
 	pl.st = 2
 	if res[0].Swapped {
-		pl.src.freeStampAsync(pl.s.Atomic.Pointer())
-		pl.src.alloc.Free(pl.s.Atomic.Pointer(), pl.s.Atomic.SizeBytes())
-		pl.src.fc.Forget(pl.s.Addr)
 		// The moved copy's bytes leave the SOURCE node's accounting (the
 		// destination charged them at its insert CAS).
-		pl.src.accountTenant(pl.ins.tenant, -int64(pl.s.Atomic.SizeBytes()))
+		pl.src.releaseBlock(pl.s.Atomic, pl.s.Addr, pl.ins.tenant)
 		// inserted=false here means the destination already held a newer
 		// client-written copy: the source removal is garbage collection,
 		// not a migration.

@@ -5,28 +5,43 @@ package core
 // Every Get/Set/Delete attempt used to allocate its plan object, its
 // per-stage verb group, the READ buffers the verbs delivered into, and
 // the decoded-slot scratch — all of it dead the moment the operation
-// returned. Each client now keeps free lists of finished plan objects
-// and reuses every buffer they own. The lifecycle is
+// returned. Each client now keeps one free list per plan type (planPool)
+// and reuses every buffer a finished plan owns. The lifecycle is
 //
-//	acquire → reset → run → release
+//	get → reset → run → put         (c.gets.get().reset(c, key) … c.gets.put(pl))
 //
 // with two rules the correctness of buffer reuse hangs on:
 //
-//  1. A plan is released only after the driver has consumed everything
+//  1. A plan is put back only after the driver has consumed everything
 //     that may alias its buffers — the decoded value views, the scanned
 //     slots, the history matches. Under doorbell execution an identical
 //     READ is issued once and fanned out, so one plan's result can alias
-//     ANOTHER plan's buffer; batch drivers therefore release their plans
-//     only after the whole batch's outputs are consumed.
-//  2. reset re-draws any construction-time randomness in the same order
-//     as a fresh plan would (see newEvictPlan), so pooling is invisible
-//     to the deterministic simulation.
+//     ANOTHER plan's buffer; batch drivers therefore put their plans
+//     back only after the whole batch's outputs are consumed.
+//  2. reset draws a plan's randomness in the same order a fresh plan
+//     would (see evictPlan.reset), so pooling is invisible to the
+//     deterministic simulation.
 //
-// Migrate-mode set plans (the resharder's insert-if-absent) are NOT
-// pooled: they are cold-path, long-lived, and owned by transient
-// clients.
+// A plan that is never put back (a driver unwound by a node failure, the
+// resharder's migrate plans) is simply garbage: the pool holds no
+// reference to plans in flight.
 
-import "ditto/internal/loccache"
+// planPool is a free list of finished plans of one type. get hands out a
+// recycled plan — or a zero one on a miss, pool growth that amortizes to
+// nothing at steady state — in unspecified state: the caller resets it.
+type planPool[T any] struct{ free []*T }
+
+func (p *planPool[T]) get() *T {
+	n := len(p.free)
+	if n == 0 {
+		return new(T)
+	}
+	pl := p.free[n-1]
+	p.free = p.free[:n-1]
+	return pl
+}
+
+func (p *planPool[T]) put(pl *T) { p.free = append(p.free, pl) }
 
 // grow returns buf resized to n bytes, reusing its capacity when it
 // suffices. The contents are unspecified — callers must fully overwrite
@@ -47,79 +62,4 @@ func bufAt(bufs *[][]byte, i int) *[]byte {
 		*bufs = append(*bufs, nil)
 	}
 	return &(*bufs)[i]
-}
-
-func (c *Client) acquireGetPlan(key []byte) *getPlan {
-	var pl *getPlan
-	if n := len(c.freeGet); n > 0 {
-		pl, c.freeGet = c.freeGet[n-1], c.freeGet[:n-1]
-	} else {
-		pl = &getPlan{}
-	}
-	pl.reset(c, key)
-	return pl
-}
-
-func (c *Client) releaseGetPlan(pl *getPlan) {
-	c.freeGet = append(c.freeGet, pl)
-}
-
-func (c *Client) acquireSpecGetPlan(key []byte, h loccache.Hint) *specGetPlan {
-	var pl *specGetPlan
-	if n := len(c.freeSpec); n > 0 {
-		pl, c.freeSpec = c.freeSpec[n-1], c.freeSpec[:n-1]
-	} else {
-		pl = &specGetPlan{}
-	}
-	pl.reset(c, key, h)
-	return pl
-}
-
-func (c *Client) releaseSpecGetPlan(pl *specGetPlan) {
-	c.freeSpec = append(c.freeSpec, pl)
-}
-
-func (c *Client) acquireSetPlan(key, value []byte) *setPlan {
-	var pl *setPlan
-	if n := len(c.freeSet); n > 0 {
-		pl, c.freeSet = c.freeSet[n-1], c.freeSet[:n-1]
-	} else {
-		pl = &setPlan{}
-	}
-	pl.reset(c, key, value)
-	return pl
-}
-
-func (c *Client) releaseSetPlan(pl *setPlan) {
-	c.freeSet = append(c.freeSet, pl)
-}
-
-func (c *Client) acquireDelPlan(key []byte) *delPlan {
-	var pl *delPlan
-	if n := len(c.freeDel); n > 0 {
-		pl, c.freeDel = c.freeDel[n-1], c.freeDel[:n-1]
-	} else {
-		pl = &delPlan{}
-	}
-	pl.reset(c, key)
-	return pl
-}
-
-func (c *Client) releaseDelPlan(pl *delPlan) {
-	c.freeDel = append(c.freeDel, pl)
-}
-
-func (c *Client) acquireEvictPlan() *evictPlan {
-	var pl *evictPlan
-	if n := len(c.freeEv); n > 0 {
-		pl, c.freeEv = c.freeEv[n-1], c.freeEv[:n-1]
-	} else {
-		pl = &evictPlan{}
-	}
-	pl.reset(c)
-	return pl
-}
-
-func (c *Client) releaseEvictPlan(pl *evictPlan) {
-	c.freeEv = append(c.freeEv, pl)
 }

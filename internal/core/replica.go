@@ -413,7 +413,7 @@ func (m *MultiClient) writeThrough(e *hotset.Entry, pairs []KV, i int) error {
 // updateReplicas stores (key, value) on every replica node of e as a
 // fan-out of ordinary setPlans (plan.go) run under the pool's strategy; any
 // plan that hits a complication (full bucket, lost CAS) finishes through
-// the serial retry path, exactly as a client Set would. Replica stores
+// the store driver, exactly as a client Set would. Replica stores
 // are maintenance: they keep the per-node copies, but do not count as
 // logical Sets in any client's Stats.
 func (m *MultiClient) updateReplicas(e *hotset.Entry, key, value []byte) error {
@@ -425,7 +425,7 @@ func (m *MultiClient) updateReplicas(e *hotset.Entry, key, value []byte) error {
 		if c == nil {
 			continue // node left the pool; the stale entry is demoted on next touch
 		}
-		pl := c.newSetPlan(key, value)
+		pl := c.sets.get().reset(c, key, value)
 		plans = append(plans, pl)
 		clients = append(clients, c)
 		run = append(run, pl)
@@ -450,47 +450,23 @@ func (m *MultiClient) updateReplicas(e *hotset.Entry, key, value []byte) error {
 		if c.cl.dead {
 			continue
 		}
-		var err error
-		if rdma.CatchUnreachable(func() { err = m.finishReplicaStore(c, key, value, pl) }) != nil {
+		// Drive the store to completion from whatever outcome the fan-out
+		// attempt reached — the client store driver, uncounted.
+		stored := false
+		if rdma.CatchUnreachable(func() { stored = c.store(key, value, pl, false, 0) }) != nil {
 			continue // this replica fail-stopped mid-store; skip it
 		}
-		if err != nil && firstErr == nil {
-			firstErr = err
+		if !stored && firstErr == nil {
+			firstErr = fmt.Errorf("%w: replica store stalled (table misconfigured?)", ErrNoProgress)
 		}
 	}
 	return firstErr
 }
 
-// finishReplicaStore drives one replica's store to completion from
-// whatever outcome the fan-out attempt reached, mirroring Client.Set's
-// retry loop (evict on full buckets, fresh snapshot on a lost CAS)
-// without its stats accounting. A store that exhausts its retry budget
-// returns an ErrNoProgress-wrapped error (a misconfigured table) rather
-// than completing partially.
-func (m *MultiClient) finishReplicaStore(c *Client, key, value []byte, pl *setPlan) error {
-	for attempt := 0; ; attempt++ {
-		switch pl.outcome {
-		case setDone:
-			return nil
-		case setNoFree:
-			if !c.bucketEvict(pl.scanned) {
-				c.reclaimOldestHistory(pl.scanned)
-			}
-		case setCASLost:
-			// Lost a race (concurrent writer or this fan-out's own
-			// evictions): retry with a fresh snapshot.
-		}
-		if attempt > 4096 {
-			return fmt.Errorf("%w: replica store stalled (table misconfigured?)", ErrNoProgress)
-		}
-		pl = c.newSetPlan(key, value)
-		c.runner.Serial.Run(pl)
-	}
-}
-
-// readQuiet reads key's value from one node with raw get plans — no
-// stats, no frequency touch, no observer report — for maintenance reads
-// (promotion's value snapshot) that must not perturb the hit accounting.
+// readQuiet reads key's value from one node with the client's quiet walk
+// — no stats, no frequency touch, no observer report — for maintenance
+// reads (promotion's value snapshot) that must not perturb the hit
+// accounting.
 func (m *MultiClient) readQuiet(node int, key []byte) ([]byte, bool) {
 	c := m.clientFor(node)
 	if c == nil {
@@ -499,17 +475,11 @@ func (m *MultiClient) readQuiet(node int, key []byte) ([]byte, bool) {
 	var val []byte
 	var hit bool
 	if rdma.CatchUnreachable(func() {
-		for attempt := 0; attempt < getRetries; attempt++ {
-			pl := c.newGetPlan(key)
-			c.runner.Serial.Run(pl)
-			if pl.hit {
-				val, hit = append([]byte(nil), pl.dec.value...), true
-				return
-			}
-			if !pl.stale {
-				return
-			}
+		pl := c.walk(key)
+		if hit = pl.hit; hit {
+			val = append([]byte(nil), pl.dec.value...)
 		}
+		c.gets.put(pl)
 	}) != nil {
 		// The node fail-stopped mid-read: its copy is gone. Callers treat
 		// a maintenance-read miss as "key vanished" and demote — exactly
@@ -528,7 +498,7 @@ func (m *MultiClient) invalidateReplicas(e *hotset.Entry) {
 	run := make([]exec.Plan, 0, len(e.Replicas))
 	for _, id := range e.Replicas {
 		if c := m.clientFor(id); c != nil {
-			run = append(run, c.newDelPlan(e.Key))
+			run = append(run, new(delPlan).reset(c, e.Key))
 		}
 	}
 	if len(run) > 0 {

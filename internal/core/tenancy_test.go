@@ -119,9 +119,7 @@ func TestQuotaVictimChoiceStrategyEquivalent(t *testing.T) {
 			st = noisy.Stats
 			usage = [2]int64{cl.TenantUsage(1), cl.TenantUsage(2)}
 			probe := func(k []byte) {
-				pl := noisy.newGetPlan(k)
-				noisy.runner.Serial.Run(pl)
-				if pl.hit {
+				if noisy.walk(k).hit {
 					survivors[string(k)] = true
 				}
 			}
