@@ -108,6 +108,77 @@ func TestAllocsPerOpSteadyState(t *testing.T) {
 
 	multiClientAllocs(t, false)
 	multiClientAllocs(t, true)
+	contendedBatchAllocs(t)
+}
+
+// contendedBatchAllocs holds the batches' complication paths to the clean
+// rows' ceilings: an MGet(32) whose every hint is stale (rejected hints
+// continue into the walk inside the same pooled plans) and an MSet(32)
+// contending with a second writer over the same keys (chases, given-up
+// pairs re-run from the same pools and the client's index scratch).
+func contendedBatchAllocs(t *testing.T) {
+	const batch = 32
+	keys := make([][]byte, batch)
+	pairs := make([]KV, batch)
+	for i := 0; i < batch; i++ {
+		keys[i] = key(i)
+		pairs[i] = KV{Key: key(i), Value: value(i)}
+	}
+
+	env := sim.NewEnv(14)
+	opts := DefaultOptions(1000, 1000*320)
+	opts.LocCacheSlots = 256
+	cl := NewCluster(env, opts)
+	env.Go("meter", func(p *sim.Proc) {
+		c, other := cl.NewClient(p), cl.NewClient(p)
+		// Every round the other client moves all 32 blocks, stranding the
+		// hints c's previous MGet recorded; its steady-state MSet allocates
+		// nothing, so the count is the stale-hint MGet's.
+		round := func() {
+			other.MSet(pairs)
+			c.MGet(keys)
+		}
+		for r := 0; r < 3; r++ {
+			round()
+		}
+		before := c.Stats.SpecGetFallbacks
+		mgets := testing.AllocsPerRun(50, round)
+		t.Logf("allocs/op: stale-hint mget(%d)=%.1f", batch, mgets)
+		if mgets > batch+4 {
+			t.Errorf("stale-hint MGet(%d) allocates %.1f objects/op, ceiling %d", batch, mgets, batch+4)
+		}
+		if got := c.Stats.SpecGetFallbacks - before; got < 50*batch {
+			t.Errorf("measured loop rejected %d hints, want every one of %d", got, 50*batch)
+		}
+	})
+	env.Run()
+
+	env = sim.NewEnv(15)
+	cl = NewCluster(env, DefaultOptions(1000, 1000*320))
+	stop := false
+	env.Go("rival", func(p *sim.Proc) {
+		c := cl.NewClient(p)
+		for !stop {
+			c.MSet(pairs)
+		}
+	})
+	env.Go("meter", func(p *sim.Proc) {
+		c := cl.NewClient(p)
+		for r := 0; r < 40; r++ { // until every pooled plan has chased once
+			c.MSet(pairs)
+		}
+		before := c.Stats.SetRetries
+		msets := testing.AllocsPerRun(50, func() { c.MSet(pairs) })
+		stop = true
+		t.Logf("allocs/op: contended mset(%d)=%.1f, %d retries", batch, msets, c.Stats.SetRetries-before)
+		if msets != 0 {
+			t.Errorf("contended MSet(%d) allocates %.1f objects/op, want 0", batch, msets)
+		}
+		if c.Stats.SetRetries == before {
+			t.Error("measured loop never lost a CAS")
+		}
+	})
+	env.Run()
 }
 
 // multiClientAllocs holds the routed MultiClient paths (2 nodes, warm) to

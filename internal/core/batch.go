@@ -10,20 +10,27 @@ package core
 // a single RTT.
 //
 //	MGet:    1 doorbell (all bucket READs) + 1 doorbell (all object READs)
-//	MSet:    up to 4 doorbells (bucket READs, candidate object READs,
-//	         object WRITEs, publishing CASes)
+//	MSet:    3 doorbells (bucket READs, candidate object READs, object
+//	         WRITEs + publishing CASes)
 //	MDelete: up to 3 doorbells (bucket READs, object READs, delete CASes)
 //
-// Races are resolved exactly as in the serial paths: a key whose
-// speculative image was rejected, whose snapshot went stale, whose
-// publishing CAS lost, or whose buckets were full is demoted to the ONE
-// serial driver of its operation (Client.get, Client.set — the bounded
-// retry loops of client.go), so batched and serial operations are
-// observably equivalent. A demoted key keeps the BATCH's start as its
-// latency clock: the doorbell rounds it already sat through are part of
-// what the caller waited for.
+// Races are resolved by the same plans as in the serial paths, and a
+// complication costs rounds the whole batch shares, never per-key round
+// trips: a rejected speculative image continues into the walk and a lost
+// publishing CAS chases the winner's image inside the plan and its Run
+// (plan.go); what a pass leaves unsettled — a stale snapshot, full
+// buckets (after makeRoom), a CAS lost to something that is not the key —
+// is re-run together as the next pass, in key/pair order, under the
+// serial drivers' own bounds (getRetries, storeAttempts) and behind one
+// back-off draw per pass. Batched and serial operations stay observably
+// equivalent. Every key reports the BATCH's elapsed time as its latency:
+// the call returns them together, so that is what the caller waited for.
 
-import "ditto/internal/exec"
+import (
+	"fmt"
+
+	"ditto/internal/exec"
+)
 
 // KV is one key/value pair of an MSet batch.
 type KV struct {
@@ -51,9 +58,10 @@ func (c *Client) allIdx(n int) []int {
 // doorbell batches — every bucket READ, then every object READ — instead
 // of two round trips per key; per-key hit handling (stats, frequency,
 // last_ts, expert extensions) is identical to Get's. With a location
-// cache enabled, hinted keys run specGetPlans instead: their speculative
-// object READs join the unhinted keys' bucket READs in the SAME first
-// doorbell, so an all-hinted all-valid batch costs exactly ONE doorbell.
+// cache enabled, hinted keys' plans start with their speculative stage:
+// the hinted object READs join the unhinted keys' bucket READs in the
+// SAME first doorbell, so an all-hinted all-valid batch costs exactly ONE
+// doorbell, and a rejected hint's walk shares the following rounds.
 func (c *Client) MGet(keys [][]byte) ([][]byte, []bool) {
 	vals := make([][]byte, len(keys))
 	oks := make([]bool, len(keys))
@@ -68,96 +76,53 @@ func (c *Client) MGet(keys [][]byte) ([][]byte, []bool) {
 func (c *Client) mget(keys [][]byte, idxs []int, vals [][]byte, oks []bool, probe bool, strat exec.Strategy) {
 	if strat == exec.Serial {
 		for _, i := range idxs {
-			vals[i], oks[i] = c.get(keys[i], probe, nil, c.p.Now())
+			vals[i], oks[i] = c.get(keys[i], probe, nil)
 		}
 		return
 	}
 	start := c.p.Now()
-	// Pooled plans and run scratch. Under doorbell dedup one plan's READ
-	// result can alias another plan's buffer, so every plan stays
-	// out of the pool until the whole batch's outputs are consumed (pool.go
-	// rule 1); the serial fallbacks below draw from the same pools but
-	// never touch plans still held here. specIdx/getIdx map each
-	// in-flight plan back to its key index.
-	plans := c.getPlans[:0]
-	specs := c.specPlans[:0]
-	specIdx := c.specIdx[:0]
-	getIdx := c.getIdx[:0]
-	run := c.runOps[:0]
-	for _, i := range idxs {
-		if c.loc != nil {
-			if h, ok := c.loc.Lookup(keys[i]); ok {
-				sp := c.specs.get().reset(c, keys[i], h)
-				specs = append(specs, sp)
-				specIdx = append(specIdx, i)
-				run = append(run, sp)
+	// Passes, exactly as Client.walk's attempts: the first runs every key
+	// (hinted ones speculatively), each further one re-runs together the
+	// keys whose snapshot raced a concurrent update (rare), until
+	// getRetries attempts leave what is still stale a miss.
+	for attempt := 0; len(idxs) > 0; attempt++ {
+		plans, run := c.getPlans[:0], c.runOps[:0]
+		for _, i := range idxs {
+			pl := c.gets.get().reset(c, keys[i], attempt == 0)
+			plans, run = append(plans, pl), append(run, pl)
+		}
+		c.getPlans, c.runOps = plans, run
+		c.runner.Doorbell.Run(run)
+
+		stale := c.retryIdx[:0]
+		for j, pl := range plans {
+			i := idxs[j]
+			if pl.stale && !pl.hit && attempt+1 < getRetries {
+				stale = append(stale, i)
 				continue
 			}
+			vals[i], oks[i] = c.finishGet(start, pl, probe, nil)
 		}
-		pl := c.gets.get().reset(c, keys[i])
-		plans = append(plans, pl)
-		getIdx = append(getIdx, i)
-		run = append(run, pl)
-	}
-	c.getPlans, c.specPlans, c.runOps = plans, specs, run
-	c.specIdx, c.getIdx = specIdx, getIdx
-	c.runner.Doorbell.Run(run)
-
-	for j, sp := range specs {
-		if sp.ok {
-			i := specIdx[j]
-			vals[i], oks[i] = c.finishSpecHit(start, sp, nil), true
+		// Under doorbell dedup one plan's READ result can alias another
+		// plan's buffer, so the plans go back only now that the whole
+		// pass's hits are copied out (pool.go rule 1).
+		for _, pl := range plans {
+			c.gets.put(pl)
 		}
-	}
-	for j, pl := range plans {
-		if pl.hit {
-			i := getIdx[j]
-			vals[i], oks[i] = c.finishWalkHit(start, pl, nil), true
-		}
-	}
-	for j, sp := range specs {
-		if sp.ok {
-			continue
-		}
-		// The speculative image failed validation: drop the hint and re-run
-		// the key through the serial driver's ordinary bucket walk, which
-		// applies the exact hit/miss/probe semantics (and re-records a
-		// fresh hint on a hit).
-		i := specIdx[j]
-		c.dropHint(keys[i])
-		vals[i], oks[i] = c.get(keys[i], probe, nil, start)
-	}
-	for j, pl := range plans {
-		if pl.hit {
-			continue
-		}
-		if pl.stale {
-			// Rare: the snapshot raced a concurrent update. Re-run the key
-			// through the serial driver, which retries bounded re-reads
-			// exactly as a lone Get would.
-			i := getIdx[j]
-			vals[i], oks[i] = c.get(keys[i], probe, nil, start)
-		} else if !probe {
-			c.finishMiss(start, pl)
-		}
-	}
-	for _, pl := range plans {
-		c.gets.put(pl)
-	}
-	for _, sp := range specs {
-		c.specs.put(sp)
+		c.retryIdx, idxs = stale, stale
 	}
 }
 
 // ------------------------------------------------------------------ MSet ----
 
-// MSet stores a batch of key/value pairs with up to four doorbell batches
-// (bucket READs, candidate object READs, object WRITEs, publishing
+// MSet stores a batch of key/value pairs with three doorbell batches
+// (bucket READs, candidate object READs, object WRITEs + publishing
 // CASes). Each pair runs the same setPlan one Set attempt would —
 // update-in-place when the key's current copy is found, else an insert
-// into the first reclaimable slot, preferring the main bucket — and any
-// pair whose CAS loses a race or whose buckets are full falls back to the
-// serial Set retry loop, so batched and serial stores behave identically
+// into the first reclaimable slot, preferring the main bucket, chasing a
+// lost publish CAS inside the batch's own rounds — and the pairs an
+// attempt could not settle (buckets full, a chase that met another key)
+// are re-run together, so batched and serial stores behave identically
 // under contention.
 func (c *Client) MSet(pairs []KV) { c.mset(pairs, c.allIdx(len(pairs)), exec.Doorbell) }
 
@@ -178,40 +143,35 @@ func (c *Client) mset(pairs []KV, idxs []int, strat exec.Strategy) {
 	// as sequential ones — and, like them, as multi-victim doorbell
 	// rounds when the deficit spans more than one block.
 	c.drainOverBudget(shrinkEvictBatch * len(idxs))
-	plans := c.setPlans[:0]
-	run := c.runOps[:0]
-	for _, i := range idxs {
-		pl := c.sets.get().reset(c, pairs[i].Key, pairs[i].Value)
-		plans = append(plans, pl)
-		run = append(run, pl)
-	}
-	c.setPlans, c.runOps = plans, run
-	c.runner.Doorbell.Run(run)
-
-	var fallback []int
-	for j, pl := range plans {
-		switch pl.outcome {
-		case setDone:
-			c.noteSetLocation(pl)
-			c.Stats.Sets++
-			c.report(OpSet, start, true)
-		case setCASLost:
-			// Lost the slot to a concurrent writer, an eviction, or an
-			// earlier pair of this very batch: retry serially.
-			c.Stats.SetRetries++
-			fallback = append(fallback, idxs[j])
-		case setNoFree:
-			fallback = append(fallback, idxs[j])
+	// Passes, as the serial store driver's attempts: the unsettled pairs
+	// re-run together, in pair order (the last pair of a key still wins),
+	// behind ONE back-off draw per pass.
+	for attempt := 0; attempt < storeAttempts; attempt++ {
+		plans, run := c.setPlans[:0], c.runOps[:0]
+		for _, i := range idxs {
+			pl := c.sets.get().reset(c, pairs[i].Key, pairs[i].Value)
+			plans, run = append(plans, pl), append(run, pl)
 		}
+		c.setPlans, c.runOps = plans, run
+		c.runner.Doorbell.Run(run)
+
+		again := c.retryIdx[:0]
+		for j, pl := range plans {
+			if c.settle(pl, true, start) {
+				c.Stats.Sets++
+			} else {
+				again = append(again, idxs[j])
+			}
+		}
+		for _, pl := range plans {
+			c.sets.put(pl)
+		}
+		if c.retryIdx, idxs = again, again; len(idxs) == 0 {
+			return
+		}
+		c.backOff()
 	}
-	// Put back before the serial retries: the fallbacks re-run their keys
-	// with fresh plans and no batch output is read past this point.
-	for _, pl := range plans {
-		c.sets.put(pl)
-	}
-	for _, i := range fallback {
-		c.set(pairs[i].Key, pairs[i].Value, start) // counts its own Sets/retries
-	}
+	panic(fmt.Errorf("%w: MSet retries exhausted (table misconfigured?)", ErrNoProgress))
 }
 
 // --------------------------------------------------------------- MDelete ----

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ditto/internal/hashtable"
+	"ditto/internal/rdma"
 	"ditto/internal/sim"
 )
 
@@ -144,6 +145,68 @@ func TestMGetMSetMatchSequential(t *testing.T) {
 			t.Fatalf("op %d: batched=%q serial=%q", i, batched[i], serial[i])
 		}
 	}
+
+	// Under a concurrent writer the two runs no longer line up op for op,
+	// but every batched read must still return what a sequence of Sets in
+	// pair order would have left — the LAST pair of the key in the
+	// client's latest batch holding it — or something the rival wrote:
+	// never an earlier pair that a retry pass let overtake a later one.
+	t.Run("under a concurrent writer", func(t *testing.T) {
+		const keySpace, rounds = 12, 60
+		env := sim.NewEnv(7)
+		cl := newTestCluster(env, 4000)
+		rival := bytes.Repeat([]byte{0xEE}, 64)
+		var retries int64
+		env.Go("rival", func(p *sim.Proc) {
+			c := cl.NewClient(p)
+			rng := rand.New(rand.NewSource(5))
+			for round := 0; round < rounds; round++ {
+				pairs := make([]KV, 8)
+				for j := range pairs {
+					pairs[j] = KV{Key: key(rng.Intn(keySpace)), Value: rival}
+				}
+				c.MSet(pairs)
+			}
+			retries += c.Stats.SetRetries
+		})
+		env.Go("c", func(p *sim.Proc) {
+			c := cl.NewClient(p)
+			rng := rand.New(rand.NewSource(99))
+			model := map[string][]byte{}
+			for round := 0; round < rounds; round++ {
+				pairs := make([]KV, 8)
+				for j := range pairs {
+					k := rng.Intn(keySpace)
+					pairs[j] = KV{Key: key(k), Value: value(round*8 + j)}
+				}
+				c.MSet(pairs)
+				for _, kv := range pairs {
+					model[string(kv.Key)] = kv.Value
+				}
+				gets := make([][]byte, keySpace)
+				for j := range gets {
+					gets[j] = key(j)
+				}
+				vs, oks := c.MGet(gets)
+				for j, g := range gets {
+					want, written := model[string(g)]
+					switch {
+					case oks[j] && bytes.Equal(vs[j], rival):
+					case !written && !oks[j]:
+					case written && oks[j] && bytes.Equal(vs[j], want):
+					default:
+						t.Fatalf("round %d key %d: ok=%v value %d.., want the last pair's %v (or the rival's)",
+							round, j, oks[j], vs[j][:1], want[:1])
+					}
+				}
+			}
+			retries += c.Stats.SetRetries
+		})
+		env.Run()
+		if retries == 0 {
+			t.Error("the writers never contended: the variant tested nothing")
+		}
+	})
 }
 
 // TestMDeleteDoorbellBudget pins the batched delete pipeline's shape: an
@@ -208,6 +271,54 @@ func TestMSetDuplicateKeysLastWriteWins(t *testing.T) {
 		}
 	})
 	env.Run()
+
+	// Two writers in lock step, each batch holding the same key three
+	// times: lost CASes are chased and given-up pairs re-run, and through
+	// all of it a writer's pairs keep their order — after its MSet returns
+	// the key holds that batch's LAST pair or something of the rival's,
+	// and when both are done it holds one of the two final last pairs.
+	t.Run("concurrent writers", func(t *testing.T) {
+		const rounds = 25
+		env := sim.NewEnv(2)
+		cl := newTestCluster(env, 1000)
+		val := func(w, round, pair int) []byte {
+			v := value(0)
+			v[0], v[1], v[2] = byte(w), byte(round), byte(pair)
+			return v
+		}
+		var retries int64
+		for w := 0; w < 2; w++ {
+			w := w
+			env.Go("w", func(p *sim.Proc) {
+				c := cl.NewClient(p)
+				for round := 0; round < rounds; round++ {
+					c.MSet([]KV{
+						{Key: key(1), Value: val(w, round, 0)},
+						{Key: key(2), Value: val(w, round, 0)},
+						{Key: key(1), Value: val(w, round, 1)},
+						{Key: key(1), Value: val(w, round, 2)},
+					})
+					v, ok := c.Get(key(1))
+					if !ok || (int(v[0]) == w && (int(v[1]) != round || v[2] != 2)) {
+						t.Fatalf("writer %d round %d: key holds its own pair (round %d, pair %d), want its last",
+							w, round, v[1], v[2])
+					}
+				}
+				retries += c.Stats.SetRetries
+			})
+		}
+		env.Run()
+		env.Go("check", func(p *sim.Proc) {
+			v, ok := cl.NewClient(p).Get(key(1))
+			if !ok || int(v[1]) != rounds-1 || v[2] != 2 {
+				t.Fatalf("final value: ok=%v round %d pair %d, want a writer's final last pair", ok, v[1], v[2])
+			}
+		})
+		env.Run()
+		if retries == 0 {
+			t.Error("the writers never contended: the variant tested nothing")
+		}
+	})
 }
 
 // TestNoteHitReadsPendingDeltaBeforeAdd is the regression test for the
@@ -267,23 +378,181 @@ func opLatencies(c *Client, kind OpKind) *[]int64 {
 	return &lats
 }
 
-// TestDemotedKeyLatencyCountsTheBatch is the regression test for the
-// latency clock of a key MGet/MSet demotes to the serial driver: the
-// doorbell rounds it sat through before the demotion are part of what
-// the caller waited for, so its reported latency runs from the BATCH's
-// start and exceeds the clean keys' (which all complete with the batch).
-// Restarting the clock at the fallback under-reported exactly the
-// slowest keys of a batch.
+// syncVerbs counts the one-sided verbs between two node-stats snapshots
+// that were neither posted in a doorbell batch nor asynchronous: the
+// round trips an operation paid one at a time.
+func syncVerbs(s0, s1 rdma.Stats) int64 {
+	verbs := (s1.Reads - s0.Reads) + (s1.Writes - s0.Writes) + (s1.CASes - s0.CASes) + (s1.FAAs - s0.FAAs)
+	return verbs - (s1.BatchedVerbs - s0.BatchedVerbs) - (s1.AsyncOps - s0.AsyncOps)
+}
+
+// staleHintBatch leaves client c with a hint for each of keys 0..7, the
+// first four of them stale (another client has since moved the blocks).
+func staleHintBatch(c, other *Client) [][]byte {
+	keys := make([][]byte, 8)
+	for i := range keys {
+		keys[i] = key(i)
+		c.Set(keys[i], value(i))
+	}
+	for i := 0; i < 4; i++ {
+		other.Set(keys[i], value(30+i))
+	}
+	return keys
+}
+
+// lockStep is what two lock-stepped MSet(8) batches sharing one key did.
+type lockStep struct {
+	clients [2]*Client
+	lats    [2]*[]int64 // OnOp Set latencies, in report order
+	elapsed [2]int64    // virtual time each MSet call took
+	s0, s1  rdma.Stats  // node stats around the two batches
+	loaded  int         // heap bytes in use before them
+}
+
+// runLockStep loads keys 0..15, then runs two clients whose MSet(8)
+// batches start at the same instant, each over its own keys except that
+// both update key 3: their rounds stay in lock step, both publishing
+// CASes expect the same old pointer, and the one posted second loses —
+// and chases the winner's image inside its own batch.
+func runLockStep(env *sim.Env, cl *Cluster) *lockStep {
+	ls := &lockStep{}
+	env.Go("load", func(p *sim.Proc) {
+		c := cl.NewClient(p)
+		for i := 0; i < 16; i++ {
+			c.Set(key(i), value(i))
+		}
+	})
+	env.Run()
+	ls.s0, ls.loaded = cl.MN.Node.Stats, cl.MN.UsedBytes
+	for w := range ls.clients {
+		w := w
+		env.Go("w", func(p *sim.Proc) {
+			c := cl.NewClient(p)
+			ls.clients[w], ls.lats[w] = c, opLatencies(c, OpSet)
+			pairs := make([]KV, 8)
+			for i := range pairs {
+				pairs[i] = KV{Key: key(8*w + i), Value: value(100 + i)}
+			}
+			pairs[3].Key = key(3)
+			start := p.Now()
+			c.MSet(pairs)
+			ls.elapsed[w] = p.Now() - start
+		})
+	}
+	env.Run()
+	ls.s1 = cl.MN.Node.Stats
+	return ls
+}
+
+// TestMSetDoorbellBudget pins the batched store pipeline's shape off the
+// memory node's stats: an all-update batch is three doorbell batches —
+// bucket READs, object READs, WRITE+CAS as one group — and no
+// synchronous verb; a publish CAS lost inside the batch is chased in two
+// more doorbell batches (READ the winner's image, CAS again), still
+// without a synchronous verb, counts one SetRetries and leaks no block.
+func TestMSetDoorbellBudget(t *testing.T) {
+	t.Run("all updates", func(t *testing.T) {
+		env := sim.NewEnv(1)
+		cl := newTestCluster(env, 1000)
+		env.Go("c", func(p *sim.Proc) {
+			c := cl.NewClient(p)
+			pairs := make([]KV, 8)
+			for i := range pairs {
+				pairs[i] = KV{Key: key(i), Value: value(i)}
+				c.Set(pairs[i].Key, pairs[i].Value)
+			}
+			s0 := cl.MN.Node.Stats
+			c.MSet(pairs)
+			s1 := cl.MN.Node.Stats
+			if n := s1.DoorbellBatches - s0.DoorbellBatches; n != 3 {
+				t.Errorf("all-update MSet(8) used %d doorbell batches, want 3", n)
+			}
+			if n := syncVerbs(s0, s1); n != 0 {
+				t.Errorf("all-update MSet(8) issued %d synchronous verbs, want 0", n)
+			}
+			if c.Stats.SetRetries != 0 {
+				t.Errorf("set retries = %d, want 0", c.Stats.SetRetries)
+			}
+		})
+		env.Run()
+	})
+
+	t.Run("one lost CAS", func(t *testing.T) {
+		env := sim.NewEnv(1)
+		cl := newTestCluster(env, 1000)
+		ls := runLockStep(env, cl)
+		if n := ls.s1.DoorbellBatches - ls.s0.DoorbellBatches; n != 2*3+2 {
+			t.Errorf("two MSet(8) with one lost CAS used %d doorbell batches, want 3 each + 2 for the chase", n)
+		}
+		if n := syncVerbs(ls.s0, ls.s1); n != 0 {
+			t.Errorf("%d synchronous verbs, want 0: the lost CAS left the doorbell pipeline", n)
+		}
+		if r := ls.clients[0].Stats.SetRetries + ls.clients[1].Stats.SetRetries; r != 1 {
+			t.Errorf("set retries = %d, want exactly the one chased CAS", r)
+		}
+		// Every pair was an update of a loaded key by a same-sized value:
+		// the published objects fill exactly what the load did, so any
+		// difference is a leaked (or doubly freed) staged block.
+		if cl.MN.UsedBytes != ls.loaded {
+			t.Errorf("heap holds %d bytes, the 16 published objects %d", cl.MN.UsedBytes, ls.loaded)
+		}
+	})
+}
+
+// TestMGetStaleHintDoorbellBudget pins what a rejected hint costs a
+// batch: ONE shared round. Eight hinted keys, four of the hints stale:
+// the hinted READs are the first doorbell, the rejected keys' bucket
+// READs the second, their object READs the third — and no key leaves the
+// pipeline for a synchronous READ.
+func TestMGetStaleHintDoorbellBudget(t *testing.T) {
+	env := sim.NewEnv(1)
+	cl := newSpecCluster(env, 1000, 256)
+	env.Go("c", func(p *sim.Proc) {
+		c, other := cl.NewClient(p), cl.NewClient(p)
+		keys := staleHintBatch(c, other)
+		s0 := cl.MN.Node.Stats
+		vals, oks := c.MGet(keys)
+		s1 := cl.MN.Node.Stats
+		for i := range keys {
+			want := value(i)
+			if i < 4 {
+				want = value(30 + i)
+			}
+			if !oks[i] || !bytes.Equal(vals[i], want) {
+				t.Fatalf("key %d: ok=%v, or the wrong value", i, oks[i])
+			}
+		}
+		if n := s1.DoorbellBatches - s0.DoorbellBatches; n > 3 {
+			t.Errorf("MGet(8) with 4 stale hints used %d doorbell batches, want at most 3", n)
+		}
+		if n := syncVerbs(s0, s1); n != 0 {
+			t.Errorf("%d synchronous verbs, want 0: a rejected hint left the doorbell pipeline", n)
+		}
+		if c.Stats.SpecGetHits != 4 || c.Stats.SpecGetFallbacks != 4 {
+			t.Errorf("spec stats = %d hits / %d fallbacks, want 4/4", c.Stats.SpecGetHits, c.Stats.SpecGetFallbacks)
+		}
+	})
+	env.Run()
+}
+
+// TestDemotedKeyLatencyCountsTheBatch pins the latency clock of a key
+// whose batch attempt hit a complication. The key stays in the batch's
+// doorbell rounds, so what the caller waited for it — and for every other
+// key, the call returns them together — is the batch: the clock starts
+// at the batch's start and no key reports less than the batch took.
+// (Restarting the clock where the complication was handled under-reported
+// exactly the slowest keys.) And a lost publish CAS lengthens its batch
+// by the two rounds of the chase, not by a back-off and a fresh walk.
 func TestDemotedKeyLatencyCountsTheBatch(t *testing.T) {
-	// A batch reports its clean keys first and a demoted key last.
-	check := func(op string, lats []int64) {
+	check := func(op string, lats []int64, elapsed int64) {
 		t.Helper()
 		if len(lats) != 8 {
 			t.Fatalf("%s reported %d ops, want 8", op, len(lats))
 		}
-		if clean, demoted := lats[0], lats[7]; demoted <= clean {
-			t.Errorf("%s: demoted key reported %d ns, clean keys %d ns: the fallback restarted the clock",
-				op, demoted, clean)
+		for i, l := range lats {
+			if l != elapsed {
+				t.Errorf("%s: op %d reported %d ns, the batch took %d ns", op, i, l, elapsed)
+			}
 		}
 	}
 
@@ -292,26 +561,17 @@ func TestDemotedKeyLatencyCountsTheBatch(t *testing.T) {
 		cl := newSpecCluster(env, 1000, 256)
 		env.Go("c", func(p *sim.Proc) {
 			c, other := cl.NewClient(p), cl.NewClient(p)
-			keys := make([][]byte, 8)
-			for i := range keys {
-				keys[i] = key(i)
-				// c's own Sets leave it hints; other's leave it none, so the
-				// batch walks those keys: two doorbell rounds.
-				if i < 4 {
-					c.Set(keys[i], value(i))
-				} else {
-					other.Set(keys[i], value(i))
-				}
-			}
-			other.Set(keys[3], value(30)) // moves the block: c's hint is stale
+			keys := staleHintBatch(c, other)
 			lats := opLatencies(c, OpGet)
+			start := p.Now()
 			if _, oks := c.MGet(keys); !oks[3] {
 				t.Fatal("stale-hint key missed")
 			}
-			if c.Stats.SpecGetFallbacks != 1 {
-				t.Fatalf("fallbacks = %d, want 1", c.Stats.SpecGetFallbacks)
+			elapsed := p.Now() - start
+			if c.Stats.SpecGetFallbacks != 4 {
+				t.Fatalf("fallbacks = %d, want 4", c.Stats.SpecGetFallbacks)
 			}
-			check("MGet", *lats)
+			check("MGet", *lats, elapsed)
 		})
 		env.Run()
 	})
@@ -319,39 +579,22 @@ func TestDemotedKeyLatencyCountsTheBatch(t *testing.T) {
 	t.Run("MSet lost CAS", func(t *testing.T) {
 		env := sim.NewEnv(1)
 		cl := newTestCluster(env, 1000)
-		env.Go("load", func(p *sim.Proc) {
-			c := cl.NewClient(p)
-			for i := 0; i < 16; i++ {
-				c.Set(key(i), value(i))
-			}
-		})
-		env.Run()
-		// Two clients update key 3 inside same-shaped batches started at
-		// the same instant: their rounds stay in lock step, both publish
-		// CASes expect the same old pointer, the second one loses.
-		var clients [2]*Client
-		var lats [2]*[]int64
-		for w := range clients {
-			w := w
-			env.Go("w", func(p *sim.Proc) {
-				c := cl.NewClient(p)
-				clients[w], lats[w] = c, opLatencies(c, OpSet)
-				pairs := make([]KV, 8)
-				for i := range pairs {
-					pairs[i] = KV{Key: key(8*w + i), Value: value(100 + i)}
-				}
-				pairs[3].Key = key(3)
-				c.MSet(pairs)
-			})
+		ls := runLockStep(env, cl)
+		loser := 0
+		if ls.clients[1].Stats.SetRetries == 1 {
+			loser = 1
 		}
-		env.Run()
-		if r := clients[0].Stats.SetRetries + clients[1].Stats.SetRetries; r != 1 {
-			t.Fatalf("set retries = %d, want exactly the one lost CAS", r)
+		if ls.clients[loser].Stats.SetRetries != 1 || ls.clients[1-loser].Stats.SetRetries != 0 {
+			t.Fatalf("set retries = %d and %d, want exactly the one lost CAS",
+				ls.clients[0].Stats.SetRetries, ls.clients[1].Stats.SetRetries)
 		}
-		for w, c := range clients {
-			if c.Stats.SetRetries == 1 {
-				check("MSet", *lats[w])
-			}
+		for w := range ls.clients {
+			check("MSet", *ls.lats[w], ls.elapsed[w])
+		}
+		// The chase: one object READ, one CAS, a round trip each.
+		rtt := cl.MN.Node.Config().RTT
+		if extra := ls.elapsed[loser] - ls.elapsed[1-loser]; extra < 2*rtt || extra >= 3*rtt {
+			t.Errorf("the lost CAS cost its batch %d ns, want two rounds (RTT %d ns)", extra, rtt)
 		}
 	})
 }

@@ -142,22 +142,19 @@ type Client struct {
 	// separate because inline eviction can fire while an M-operation's
 	// doorbell round is mid-absorb. bktCands is bucketEvict's own
 	// candidate scratch for the same reason.
-	gets      planPool[getPlan]
-	sets      planPool[setPlan]
-	dels      planPool[delPlan]
-	evs       planPool[evictPlan]
-	specs     planPool[specGetPlan]
-	getPlans  []*getPlan
-	setPlans  []*setPlan
-	delPlans  []*delPlan
-	evPlans   []*evictPlan
-	specPlans []*specGetPlan
-	runOps    []exec.Plan
-	runEv     []exec.Plan
-	specIdx   []int // key index each in-flight spec plan serves (mget)
-	getIdx    []int // key index each in-flight get plan serves (mget)
-	idxAll    []int // the identity index list [0, n) (allIdx)
-	bktCands  []candidate
+	gets     planPool[getPlan]
+	sets     planPool[setPlan]
+	dels     planPool[delPlan]
+	evs      planPool[evictPlan]
+	getPlans []*getPlan
+	setPlans []*setPlan
+	delPlans []*delPlan
+	evPlans  []*evictPlan
+	runOps   []exec.Plan
+	runEv    []exec.Plan
+	idxAll   []int // the identity index list [0, n) (allIdx)
+	retryIdx []int // the keys/pairs an M-operation's next pass re-runs
+	bktCands []candidate
 
 	// Location cache behind one-RTT speculative Gets (nil unless
 	// Options.LocCacheSlots > 0; see internal/loccache). verBase/verSeq
@@ -277,18 +274,16 @@ func (c *Client) Close() {
 // the critical path (§4.1). The verb sequence is the getPlan in plan.go —
 // the same plan MGet runs as doorbell batches — traversed serially here.
 // The returned value is a fresh copy; use GetAppend to reuse a buffer.
-func (c *Client) Get(key []byte) ([]byte, bool) { return c.get(key, false, nil, c.p.Now()) }
+func (c *Client) Get(key []byte) ([]byte, bool) { return c.get(key, false, nil) }
 
 // GetAppend is Get appending the value to dst and returning the extended
 // slice — the allocation-free form for callers that reuse a buffer
 // across operations.
-func (c *Client) GetAppend(dst, key []byte) ([]byte, bool) { return c.get(key, false, dst, c.p.Now()) }
+func (c *Client) GetAppend(dst, key []byte) ([]byte, bool) { return c.get(key, false, dst) }
 
 // get runs the plan and, on a hit, appends the value to dst. The copy
 // happens before the plan is put back: pl.dec.value is a view into the
-// plan's pooled object buffer. start is when the operation's latency
-// clock began: now for a lone Get, the batch's start for a key mget
-// demoted to this serial driver.
+// plan's pooled object buffer.
 //
 // probe=true makes a miss silent: no counters, no regret collection, no
 // observer report. MultiClient's forwarding window probes this way so a
@@ -297,52 +292,55 @@ func (c *Client) GetAppend(dst, key []byte) ([]byte, bool) { return c.get(key, f
 // that hits counts as a normal Get.
 //
 // With a location cache enabled, a hinted key first tries the one-RTT
-// speculative path: one READ of the hinted block, validated in place by
-// specGetPlan (plan.go). A validated hit is a normal hit — same
-// counters, same metadata maintenance, same observer report — served in
-// a single round trip. Any validation failure silently drops the hint
-// and falls through to the ordinary bucket walk below, whose own hit
-// path re-records a fresh hint; correctness never depends on the hint.
-func (c *Client) get(key []byte, probe bool, dst []byte, start int64) ([]byte, bool) {
-	if c.loc != nil {
-		if h, ok := c.loc.Lookup(key); ok {
-			spl := c.specs.get().reset(c, key, h)
-			c.runner.Serial.Run(spl)
-			if spl.ok {
-				dst = c.finishSpecHit(start, spl, dst)
-				c.specs.put(spl)
-				return dst, true
-			}
-			c.dropHint(key)
-			c.specs.put(spl)
-		}
-	}
-	pl := c.walk(key)
-	if pl.hit {
-		dst = c.finishWalkHit(start, pl, dst)
-	} else if !probe {
-		c.finishMiss(start, pl)
-	}
+// speculative path: the plan's speculative first stage (getPlan, plan.go)
+// READs the hinted block and validates it in place. A validated hit is a
+// normal hit — same counters, same metadata maintenance, same observer
+// report — served in a single round trip. After any validation failure
+// the plan silently continues into the ordinary bucket walk, whose own
+// hit path re-records a fresh hint (and which drops the rejected one when
+// it finds no copy); correctness never depends on the hint.
+func (c *Client) get(key []byte, probe bool, dst []byte) ([]byte, bool) {
+	start := c.p.Now()
+	pl := c.walk(key, true)
+	dst, hit := c.finishGet(start, pl, probe, dst)
 	c.gets.put(pl)
-	return dst, pl.hit
+	return dst, hit
 }
 
-// walk is THE quiet read: key's bucket walk run serially — a clean miss
-// ends it, a stale snapshot re-reads, bounded by getRetries — touching no
-// counter, frequency or observer. It returns the finished plan, which
-// the caller puts back (c.gets) once it has consumed the hit's views.
-// get completes it as a counted operation; maintenance reads (promotion's
-// value snapshot, write repair) and the tests' stat-silent probes read
-// pl.hit/pl.dec off it directly.
-func (c *Client) walk(key []byte) *getPlan {
+// walk is THE serial read: key's plan run serially — a clean miss ends
+// it, a stale snapshot re-reads, bounded by getRetries. It returns the
+// finished plan, which the caller puts back (c.gets) once it has consumed
+// the hit's views. With spec=false it is the quiet read, touching no
+// counter, frequency or observer: maintenance reads (promotion's value
+// snapshot, write repair) and the tests' stat-silent probes read
+// pl.hit/pl.dec off it directly. get passes spec=true (the first attempt
+// tries the client's hint, and counts its rejection) and completes the
+// plan as a counted operation.
+func (c *Client) walk(key []byte, spec bool) *getPlan {
 	pl := c.gets.get()
 	for attempt := 0; attempt < getRetries; attempt++ {
-		c.runner.Serial.Run(pl.reset(c, key))
+		c.runner.Serial.Run(pl.reset(c, key, spec && attempt == 0))
 		if pl.hit || !pl.stale {
 			break
 		}
 	}
 	return pl
+}
+
+// finishGet completes a finished plan as a counted Get — the hit by
+// whichever way the plan found the object (dst returned extended by the
+// value), the miss unless probe silences it. The caller still owns the
+// plan.
+func (c *Client) finishGet(start int64, pl *getPlan, probe bool, dst []byte) ([]byte, bool) {
+	switch {
+	case pl.spec == specHit:
+		dst = c.finishSpecHit(start, pl, dst)
+	case pl.hit:
+		dst = c.finishWalkHit(start, pl, dst)
+	case !probe:
+		c.finishMiss(start, pl)
+	}
+	return dst, pl.hit
 }
 
 // finishHit is THE completion of a Get hit, shared by the serial and
@@ -446,19 +444,11 @@ func (c *Client) finishWalkHit(start int64, pl *getPlan, dst []byte) []byte {
 // count; between full walks the estimate is blind to other clients'
 // accesses, the same fidelity class as the FC cache itself. The
 // refreshed hint keeps Addr/Ver — a validated hit proves them current.
-func (c *Client) finishSpecHit(start int64, sp *specGetPlan, dst []byte) []byte {
+func (c *Client) finishSpecHit(start int64, pl *getPlan, dst []byte) []byte {
 	c.Stats.SpecGetHits++
-	sp.hint.Freq++
-	c.fc.Add(sp.hint.SlotAddr, len(sp.key))
-	return c.finishHit(start, sp.key, sp.dec, &sp.hint, dst)
-}
-
-// dropHint retires a hint whose speculative image failed validation
-// (block reused, freed, lease lapsed, …); the caller falls back to the
-// ordinary bucket walk, whose hit re-records a fresh one.
-func (c *Client) dropHint(key []byte) {
-	c.Stats.SpecGetFallbacks++
-	c.loc.Drop(key)
+	pl.hint.Freq++
+	c.fc.Add(pl.hint.SlotAddr, len(pl.key))
+	return c.finishHit(start, pl.key, pl.dec, &pl.hint, dst)
 }
 
 // finishMiss is THE completion of a counted Get miss: counters, regret
@@ -546,12 +536,8 @@ const shrinkEvictBatch = 8
 // pool is full. The verb sequence is the setPlan in plan.go — the same
 // plan MSet runs as doorbell batches — traversed serially here by the
 // store driver.
-func (c *Client) Set(key, value []byte) { c.set(key, value, c.p.Now()) }
-
-// set is Set with the latency clock started by the caller: now for a
-// lone Set, the batch's start for a pair mset demoted to this serial
-// driver.
-func (c *Client) set(key, value []byte, start int64) {
+func (c *Client) Set(key, value []byte) {
+	start := c.p.Now()
 	c.Stats.Sets++
 	c.drainOverBudget(shrinkEvictBatch)
 	if !c.store(key, value, nil, true, start) {
@@ -562,47 +548,70 @@ func (c *Client) set(key, value []byte, start int64) {
 // storeAttempts bounds the store driver's plan runs.
 const storeAttempts = 4096
 
-// store is THE store driver: run a setPlan serially; on setNoFree make
-// room in the key's buckets (makeRoom, evict.go), on setCASLost just take
-// a fresh snapshot; retry, bounded by storeAttempts — false means the
-// budget ran out (a misconfigured table). pl, when non-nil, is a finished
-// first attempt the caller already ran (a replica fan-out's plan); the
-// driver takes it over and puts it back.
+// store is THE serial store driver: run a setPlan serially and settle
+// it; retry, bounded by storeAttempts — false means the budget ran out (a
+// misconfigured table). pl, when non-nil, is a finished first attempt the
+// caller already ran (a replica fan-out's plan); the driver takes it over
+// and puts it back.
 //
-// counted selects the client-operation flavour: retries count in
-// Stats.SetRetries and back off briefly first — hot keys attract
-// concurrent out-of-place updates, and the CAS loser sleeps like the
-// paper's lock back-off so contenders don't stay lock-stepped — and
-// completion records the location hint and reports the latency since
-// start. Uncounted stores are maintenance (replica copies): no stats, no
-// hint, no report, and no back-off — their writers are serialized by the
-// hot-key entry lock, so there is no lock-step to break.
+// counted selects the client-operation flavour (settle), whose retries
+// also back off briefly first — hot keys attract concurrent out-of-place
+// updates, and the CAS loser sleeps like the paper's lock back-off so
+// contenders don't stay lock-stepped. Uncounted stores are maintenance
+// (replica copies): their writers are serialized by the hot-key entry
+// lock, so there is no lock-step to break.
 func (c *Client) store(key, value []byte, pl *setPlan, counted bool, start int64) bool {
 	for attempt := 0; attempt < storeAttempts; attempt++ {
 		if pl == nil {
 			pl = c.sets.get().reset(c, key, value)
 			c.runner.Serial.Run(pl)
 		}
-		switch pl.outcome {
-		case setDone:
-			if counted {
-				c.noteSetLocation(pl)
-				c.report(OpSet, start, true)
-			}
-			c.sets.put(pl)
-			return true
-		case setNoFree:
-			c.makeRoom(pl.slots) // views the plan's pooled slots: before the put
-		}
+		stored := c.settle(pl, counted, start)
 		c.sets.put(pl)
+		if stored {
+			return true
+		}
 		pl = nil
 		if counted {
-			c.Stats.SetRetries++
-			c.p.Sleep(c.p.Rand().Int63n(2 * sim.Microsecond))
+			c.backOff()
 		}
 	}
 	return false
 }
+
+// settle consumes one finished store attempt, shared by the serial
+// driver and mset's passes, and reports whether the pair is stored. A
+// setNoFree attempt gets room made in the key's buckets (makeRoom,
+// evict.go — it views the plan's pooled slots, so before the put); a
+// setCASLost one just needs a fresh snapshot; the caller re-runs either.
+//
+// counted is the client-operation flavour: the attempt's chases and its
+// re-run count in Stats.SetRetries, and completion records the location
+// hint and reports the latency since start. Uncounted stores are
+// maintenance: no stats, no hint, no report.
+func (c *Client) settle(pl *setPlan, counted bool, start int64) bool {
+	if counted {
+		c.Stats.SetRetries += int64(pl.chases)
+	}
+	switch pl.outcome {
+	case setDone:
+		if counted {
+			c.noteSetLocation(pl)
+			c.report(OpSet, start, true)
+		}
+		return true
+	case setNoFree:
+		c.makeRoom(pl.slots)
+	}
+	if counted {
+		c.Stats.SetRetries++
+	}
+	return false
+}
+
+// backOff sleeps the random ≤2 µs a counted store waits before re-running
+// lost attempts.
+func (c *Client) backOff() { c.p.Sleep(c.p.Rand().Int63n(2 * sim.Microsecond)) }
 
 // allocStallTick is how long a write sleeps per stall round waiting for
 // the background reclaimer (about one eviction RTT chain), and

@@ -135,7 +135,7 @@ func TestEvictedHotKeyDemotes(t *testing.T) {
 				break
 			}
 		}
-		if pc.walk(K).hit {
+		if pc.walk(K, false).hit {
 			t.Fatal("primary copy survived forced eviction")
 		}
 		if !e.Evicted {
@@ -154,7 +154,7 @@ func TestEvictedHotKeyDemotes(t *testing.T) {
 			t.Errorf("demotions = %d, want %d", mc.Demotions, demBefore+1)
 		}
 		for _, id := range e.Replicas {
-			if m.clientFor(id).walk(K).hit {
+			if m.clientFor(id).walk(K, false).hit {
 				t.Errorf("replica copy on node %d survived the demotion", id)
 			}
 		}

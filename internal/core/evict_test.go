@@ -56,7 +56,7 @@ func testEvictStrategiesEquivalent(t *testing.T, experts []string) {
 			st = c.Stats
 			weights = append([]float64(nil), c.Weights()...)
 			for i := 0; i < keys; i++ {
-				if c.walk(key(i)).hit { // stat-silent probe
+				if c.walk(key(i), false).hit { // stat-silent probe
 					survivors[string(key(i))] = true
 				}
 			}
@@ -176,7 +176,7 @@ func TestEvictWindowSparseTable(t *testing.T) {
 		// The key count must have dropped by exactly the one victim.
 		live := 0
 		for i := 0; i < sparse; i++ {
-			if c.walk(key(i)).hit {
+			if c.walk(key(i), false).hit {
 				live++
 			}
 		}

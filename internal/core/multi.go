@@ -197,8 +197,8 @@ func NewMultiCluster(env *sim.Env, n int, opts Options) *MultiCluster {
 // each stage across the batch as one doorbell per endpoint; exec.Serial
 // issues one verb per round trip — the paper-faithful reference the
 // equivalence tests and the bench comparison rows run against. Results
-// are identical: a plan that hits a complication under Doorbell is
-// demoted to the serial retry path either way. Takes effect immediately,
+// are identical: a plan that hits a complication reaches the same
+// outcome and is re-run by its driver either way. Takes effect immediately,
 // pool-wide, and on nodes added later.
 func (mc *MultiCluster) SetStrategy(s exec.Strategy) {
 	mc.strategy = s

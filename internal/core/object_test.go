@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"ditto/internal/exec"
 	"ditto/internal/loccache"
 )
 
@@ -24,7 +23,7 @@ func inside(part, buf []byte) bool {
 // FuzzDecodeObject fuzzes the validation of object images READ from
 // memory that may have been freed and reused under the reader — what
 // every key walk candidate and every speculative Get goes through
-// (matchObject, specGetPlan.Absorb): arbitrary bytes never panic, a
+// (matchObject, getPlan.validHint): arbitrary bytes never panic, a
 // decoded image's parts lie inside the buffer, and nothing whose key,
 // incarnation stamp or tenant differs from the hint's validates.
 func FuzzDecodeObject(f *testing.F) {
@@ -52,11 +51,10 @@ func FuzzDecodeObject(f *testing.F) {
 		if match && !bytes.Equal(dec.key, key) {
 			t.Fatalf("matched an image of key %q", dec.key)
 		}
-		pl := specGetPlan{c: c, key: key, hint: hint}
-		pl.Absorb([]exec.Result{{Data: buf}})
-		if pl.ok && (!bytes.Equal(pl.dec.key, key) || pl.dec.ver != hint.Ver || pl.dec.tenant != TenantID(hint.Tenant)) {
+		pl := getPlan{keyWalk: keyWalk{c: c, key: key}, hint: hint}
+		if dec, ok := pl.validHint(buf); ok && (!bytes.Equal(dec.key, key) || dec.ver != hint.Ver || dec.tenant != TenantID(hint.Tenant)) {
 			t.Fatalf("hint %+v validated an image of key %q ver %#x tenant %d",
-				hint, pl.dec.key, pl.dec.ver, pl.dec.tenant)
+				hint, dec.key, dec.ver, dec.tenant)
 		}
 	})
 }

@@ -3,10 +3,11 @@ package core
 // The verb plans: each cache operation's one-sided verb sequence (§4.1),
 // written ONCE as an exec.Plan and executed under either strategy.
 //
-//	Get:     key walk                                       → hit/miss/stale
-//	SpecGet: ONE hinted object READ, validated in place     → hit/fall back
+//	Get:     [ONE hinted object READ, validated in place →]
+//	         key walk                                       → hit/miss/stale
 //	Set:     key walk → classify → object WRITE →
-//	         publish CAS                                    → done/noFree/casLost
+//	         publish CAS [→ lost to the key's newer image:
+//	         READ it → (WRITE) → CAS again]                 → done/noFree/casLost
 //	Migrate: Set in insert-if-absent mode (absence verified
 //	         in BOTH buckets, metadata carried over, post-
 //	         publish duplicate sweep = a second key walk
@@ -24,10 +25,15 @@ package core
 // per-key paths verb for verb: a Get that hits in the main bucket never
 // reads the backup bucket, an insert stops at the first bucket with a
 // reclaimable slot. Doorbell traversal (exec.Doorbell) is eager — both
-// buckets, then every candidate object, as one stage each — so N plans
-// advance as shared doorbell batches. Complications (stale snapshot,
-// lost CAS, full bucket) finish the plan with that outcome and the
-// driver demotes the key to the serial retry loop.
+// buckets, then every candidate object, as one stage each, an object
+// WRITE and its publishing CAS as one group — so N plans advance as
+// shared doorbell batches. A complication a plan can resolve from what
+// its verbs returned stays inside it (a rejected hint continues into the
+// walk, a CAS lost to a newer image of the key chases it); the rest
+// (stale snapshot, full bucket, a CAS lost to anything else) finish the
+// plan with that outcome, and its driver re-runs the key — serially for
+// a lone operation, together with the batch's other unsettled keys under
+// Doorbell.
 //
 // Metadata maintenance stays off the critical path: plans issue only the
 // synchronous critical-path verbs; frequency FAAs (via the FC cache),
@@ -35,6 +41,8 @@ package core
 // completion hooks.
 
 import (
+	"bytes"
+
 	"ditto/internal/cachealgo"
 	"ditto/internal/exec"
 	"ditto/internal/hashtable"
@@ -275,11 +283,34 @@ func (w *keyWalk) absorb(res []exec.Result) []walkCand {
 
 // ------------------------------------------------------------------- Get ----
 
+// getPlan speculation states.
+const (
+	specNone     = iota // no hint: the plan is the bare walk
+	specPending         // the hinted object READ is the plan's next group
+	specHit             // the hinted image validated: the plan's hit
+	specRejected        // validation failed: the walk follows
+)
+
 // getPlan is one Get attempt: the key walk, stopped at the first live
 // match, with the stale-snapshot fallback edge surfaced as the `stale`
-// outcome (Client.walk re-runs a fresh attempt, bounded by getRetries).
+// outcome (the drivers re-run a fresh attempt, bounded by getRetries).
 // Its own: the history entries of the key it passes (regret collection
-// on a miss) and the lease check.
+// on a miss), the lease check, and an optional speculative first stage.
+//
+// The speculative stage is the one-RTT Get behind a location-cache hint:
+// ONE READ of the hinted block at its remembered size class, validated
+// in place against the hint — the image must decode and carry the key
+// (matchObject, the walk's own test), the incarnation stamp must equal
+// the hint's exactly (object.go explains why that is sufficient), the
+// tenant must match, and under tenantMode the lease must be live. A
+// validated image is the plan's hit after exactly one verb (pinned by
+// TestSpecGetVerbBudget). After any failure the SAME plan continues into
+// the ordinary walk, whose hit re-records a fresh hint over the rejected
+// one in place (sparing the common reject-then-hit a drop and re-insert);
+// a walk that ends without one drops it. So under Doorbell a rejected
+// hint costs its batch one shared round, never a per-key detour: the hinted READ joins the first doorbell
+// beside the unhinted keys' bucket READs, and the rejected key's bucket
+// READs join the second beside their object READs.
 type getPlan struct {
 	keyWalk
 
@@ -288,21 +319,33 @@ type getPlan struct {
 
 	// rnow is the attempt's reference time for lease-expiry checks,
 	// captured at reset so a doorbell batch judges every key against one
-	// clock reading.
+	// clock reading (and re-captured when a rejected hint starts the walk
+	// a round later).
 	rnow int64
+
+	spec    int
+	hint    loccache.Hint
+	specBuf []byte // the hinted READ's delivery buffer (pooled)
 
 	hit  bool
 	slot hashtable.Slot
 	dec  decodedObject
 }
 
-// reset re-aims the plan at key, keeping its scratch buffers.
-func (pl *getPlan) reset(c *Client, key []byte) *getPlan {
+// reset re-aims the plan at key, keeping its scratch buffers. spec asks
+// for the speculative first stage when the client holds a hint for key.
+func (pl *getPlan) reset(c *Client, key []byte, spec bool) *getPlan {
 	pl.aim(c, key)
 	pl.histMatches = pl.histMatches[:0]
 	pl.stale, pl.hit = false, false
 	pl.rnow = c.p.Now()
 	pl.slot, pl.dec = hashtable.Slot{}, decodedObject{}
+	pl.spec = specNone
+	if spec && c.loc != nil {
+		if h, ok := c.loc.Lookup(key); ok {
+			pl.spec, pl.hint = specPending, h
+		}
+	}
 	return pl
 }
 
@@ -310,10 +353,34 @@ func (pl *getPlan) Step(eager bool) []exec.Verb {
 	if pl.hit {
 		return nil
 	}
-	return pl.step(eager)
+	if pl.spec == specPending {
+		pl.verbs = append(pl.verbs[:0], pl.c.readVerb(rdma.BatchOp{
+			Kind: rdma.BatchRead, Addr: pl.hint.Addr, Len: pl.hint.Len,
+		}, &pl.specBuf))
+		return pl.verbs
+	}
+	vs := pl.step(eager)
+	if len(vs) == 0 && pl.spec == specRejected {
+		// The walk ended without the hit that would have re-recorded a
+		// fresh hint over the rejected one in place: retire it.
+		pl.c.loc.Drop(pl.key)
+	}
+	return vs
 }
 
 func (pl *getPlan) Absorb(res []exec.Result) {
+	if pl.spec == specPending {
+		if dec, ok := pl.validHint(res[0].Data); ok {
+			pl.spec, pl.hit, pl.dec = specHit, true, dec
+			return
+		}
+		// Block freed, reused, or never what we thought: the walk takes
+		// over, judged against the clock of the round it starts in.
+		pl.spec = specRejected
+		pl.c.Stats.SpecGetFallbacks++
+		pl.rnow = pl.c.p.Now()
+		return
+	}
 	seen := len(pl.slots)
 	fresh := pl.absorb(res)
 	for _, s := range pl.slots[seen:] {
@@ -338,74 +405,15 @@ func (pl *getPlan) Absorb(res []exec.Result) {
 	}
 }
 
-// --------------------------------------------------- Speculative Get ----
-
-// specGetPlan is the one-RTT speculative Get behind a location-cache
-// hint: ONE READ of the hinted block at its remembered size class, then
-// in-place validation of the returned image against the hint — the image
-// must decode and carry the key (matchObject, the walk's own test), the
-// incarnation stamp must equal the hint's exactly (object.go explains
-// why that is sufficient), the tenant must match, and under tenantMode
-// the lease must be live. Any failure leaves ok=false and the driver
-// falls back to the ordinary two-RTT getPlan; a speculative plan NEVER
-// retries or issues further verbs, so the hint-hit path is exactly one
-// verb (pinned by TestSpecGetVerbBudget).
-//
-// Under Doorbell the plan is single-stage: its READ joins the batch's
-// first doorbell alongside unhinted keys' bucket READs, and Step returns
-// nil from round two on — no executor changes needed.
-type specGetPlan struct {
-	c    *Client
-	key  []byte
-	hint loccache.Hint
-
-	// rnow is the attempt's reference time for the lease-expiry check,
-	// captured at reset (same convention as getPlan).
-	rnow int64
-
-	read bool // the READ has been absorbed
-	ok   bool
-	dec  decodedObject
-
-	// Pooled scratch, kept across reset: verb-group emission and the READ
-	// delivery buffer.
-	verbs []exec.Verb
-	buf   []byte
-}
-
-// reset re-aims the plan at key/hint, keeping its scratch buffers.
-func (pl *specGetPlan) reset(c *Client, key []byte, h loccache.Hint) *specGetPlan {
-	pl.c, pl.key, pl.hint = c, key, h
-	pl.rnow = c.p.Now()
-	pl.read, pl.ok = false, false
-	pl.dec = decodedObject{}
-	return pl
-}
-
-func (pl *specGetPlan) Step(eager bool) []exec.Verb {
-	if pl.read {
-		return nil
-	}
-	pl.buf = grow(pl.buf, pl.hint.Len)
-	pl.verbs = append(pl.verbs[:0], exec.Verb{EP: pl.c.ep, Op: rdma.BatchOp{
-		Kind: rdma.BatchRead, Addr: pl.hint.Addr, Len: pl.hint.Len, Buf: pl.buf,
-	}})
-	return pl.verbs
-}
-
-func (pl *specGetPlan) Absorb(res []exec.Result) {
-	pl.read = true
-	dec, match := matchObject(res[0].Data, pl.key)
+// validHint validates the hinted image in place. A lapsed lease is a
+// rejection too, so the walk applies the exact lease-as-miss semantics
+// (and its counting conventions).
+func (pl *getPlan) validHint(img []byte) (decodedObject, bool) {
+	dec, match := matchObject(img, pl.key)
 	h := &pl.hint
-	if !match || dec.ver == 0 || dec.ver != h.Ver || dec.tenant != TenantID(h.Tenant) {
-		return // block freed, reused, or never what we thought: fall back
-	}
-	if pl.c.cl.tenantMode && dec.expired(pl.rnow) {
-		// Lapsed lease: fall back so the full plan applies the exact
-		// lease-as-miss semantics (and its counting conventions).
-		return
-	}
-	pl.ok, pl.dec = true, dec
+	ok := match && dec.ver != 0 && dec.ver == h.Ver && dec.tenant == TenantID(h.Tenant) &&
+		!(pl.c.cl.tenantMode && dec.expired(pl.rnow))
+	return dec, ok
 }
 
 // ------------------------------------------------------------------- Set ----
@@ -413,11 +421,19 @@ func (pl *specGetPlan) Absorb(res []exec.Result) {
 // setPlan states.
 const (
 	sScan  = iota // the key walk
-	sWrite        // object WRITE
+	sWrite        // object WRITE (eager: WRITE and publishing CAS, one group)
 	sCAS          // publishing CAS
+	sChase        // READ of the image that beat our CAS to the slot
 	sSweep        // migrate mode: post-publish duplicate sweep (second walk)
 	sDone
 )
+
+// setChases bounds how many times one plan chases the slot's new
+// occupant after a lost publish CAS before it gives the attempt up as
+// setCASLost. Generous: every chase makes progress against SOME writer
+// (a CAS only loses to one that won), and giving up costs the whole walk
+// again.
+const setChases = 64
 
 // setPlan outcomes.
 const (
@@ -440,6 +456,28 @@ const (
 // bucket), then stage the object WRITE and the publishing CAS. Its own:
 // that classification, the reclaimable-slot search over the walk's
 // slots, the staged image and the post-CAS settlement.
+//
+// Under eager traversal the WRITE and the CAS are ONE verb group: an RC
+// queue pair executes in posting order (and PostBatch applies effects in
+// posting order), so the CAS can never publish a block its WRITE has not
+// filled, and a losing CAS leaves only a private block behind. A batched
+// store is therefore three doorbells — bucket READs, object READs,
+// WRITE+CAS — and its snapshot→CAS window one round shorter.
+//
+// A publish CAS that loses returns the slot's current atomic. When that
+// is a live object carrying the key's fingerprint — the usual loss: a
+// concurrent writer's out-of-place update of the same key, or an earlier
+// pair of the same batch — the plan CHASES it instead of giving up: it
+// keeps its staged block, READs the image behind the returned pointer,
+// and if that is the key (matchObject) re-points the update at it
+// (superseded tenant, lease and extension metadata from the fresh
+// image), re-WRITEs only when that changed the staged image, and CASes
+// again: two rounds, where finishing setCASLost costs the driver the
+// free, a back-off and the whole walk. Anything else behind the pointer
+// (another key of the same fingerprint, reused memory) takes the
+// ordinary setCASLost edge. Bounded by setChases; only updates chase —
+// so never a migrate-mode plan, whose insert must not overwrite a copy
+// it did not see.
 //
 // In migrate mode the plan is the resharder's insert-if-absent: the
 // absence check covers BOTH buckets before committing (a newer
@@ -488,11 +526,14 @@ type setPlan struct {
 
 	outcome  int
 	slotAddr uint64 // published slot (migrate: undo handle with `want`)
+	chases   int    // lost publish CASes this attempt chased (counted drivers add them to SetRetries)
 
 	// Pooled scratch, kept across reset: the extension/object-image build
 	// buffers (extBuf backs the ext passed to stage; data backs the
-	// staged WRITE and is retained until the publishing CAS).
-	extBuf []byte
+	// staged WRITE and is retained until the publishing CAS) and the chase
+	// READ's delivery buffer (updDec views it after a chase).
+	extBuf   []byte
+	chaseBuf []byte
 }
 
 // reset re-aims the plan at key/value in normal (non-migrate) mode,
@@ -515,7 +556,7 @@ func (pl *setPlan) reset(c *Client, key, value []byte) *setPlan {
 	pl.data = pl.data[:0]
 	pl.want = 0
 	pl.outcome = setPending
-	pl.slotAddr = 0
+	pl.slotAddr, pl.chases = 0, 0
 	return pl
 }
 
@@ -528,14 +569,22 @@ func (pl *setPlan) Step(eager bool) []exec.Verb {
 				return vs
 			}
 			pl.finishScan()
-		case sWrite:
-			pl.verbs = append(pl.verbs[:0], exec.Verb{EP: pl.c.ep, Op: rdma.BatchOp{
-				Kind: rdma.BatchWrite, Addr: pl.addr, Data: pl.data,
-			}})
-			return pl.verbs
-		case sCAS:
+		case sWrite, sCAS:
+			pl.verbs = pl.verbs[:0]
+			if pl.st == sWrite {
+				pl.verbs = append(pl.verbs, exec.Verb{EP: pl.c.ep, Op: rdma.BatchOp{
+					Kind: rdma.BatchWrite, Addr: pl.addr, Data: pl.data,
+				}})
+				if !eager {
+					return pl.verbs
+				}
+				pl.st = sCAS // eager: the CAS rides the same group, behind the WRITE
+			}
 			target := pl.target()
-			pl.verbs = append(pl.verbs[:0], casVerb(pl.c, target.Addr, target.Atomic, pl.want))
+			pl.verbs = append(pl.verbs, casVerb(pl.c, target.Addr, target.Atomic, pl.want))
+			return pl.verbs
+		case sChase:
+			pl.verbs = append(pl.verbs[:0], pl.c.objectVerb(pl.updSlot, &pl.chaseBuf))
 			return pl.verbs
 		case sSweep:
 			if vs := pl.step(eager); len(vs) > 0 {
@@ -575,11 +624,8 @@ func (pl *setPlan) Absorb(res []exec.Result) {
 	case sWrite:
 		pl.st = sCAS
 	case sCAS:
-		if !res[0].Swapped {
-			// Never published, so never hinted: freed unstamped.
-			c.alloc.Free(pl.addr, pl.size)
-			pl.outcome = setCASLost
-			pl.st = sDone
+		if cas := res[len(res)-1]; !cas.Swapped { // the group's last verb, behind an eager WRITE
+			pl.lost(hashtable.AtomicField(cas.Old))
 			return
 		}
 		pl.slotAddr = pl.target().Addr
@@ -610,6 +656,18 @@ func (pl *setPlan) Absorb(res []exec.Result) {
 			// dead object is not an access to it.
 		}
 		c.finishInsert(pl.slotAddr, pl.kh, pl.now)
+	case sChase:
+		dec, match := matchObject(res[0].Data, pl.key)
+		if !match {
+			pl.giveUp() // another key took the slot, or the image is already gone
+			return
+		}
+		pl.updDec = dec
+		pl.expUpd = c.cl.tenantMode && dec.expired(pl.rnow)
+		pl.st = sCAS
+		if pl.restage() {
+			pl.st = sWrite
+		}
 	case sSweep:
 		for _, cand := range pl.absorb(res) {
 			if cand.match {
@@ -637,6 +695,30 @@ func (pl *setPlan) matched(cand *walkCand) {
 	pl.mode = pUpdate
 	pl.updSlot, pl.updDec = cand.slot, cand.dec
 	pl.stage(pl.updSlot.Atomic.FP())
+}
+
+// lost handles a lost publish CAS that left now in the slot. An UPDATE
+// chases a live object of the key's fingerprint — re-pointed at it, the
+// READ of its image decides whether it is still the key. An insert gives
+// up: whoever took the claimed slot is almost never this key (and a
+// migrate-mode plan, which only ever stages inserts, must not overwrite a
+// copy it did not see).
+func (pl *setPlan) lost(now hashtable.AtomicField) {
+	if pl.mode != pUpdate || pl.chases == setChases || now.IsEmpty() || now.IsHistory() || now.FP() != pl.fp {
+		pl.giveUp()
+		return
+	}
+	pl.chases++
+	pl.updSlot.Atomic = now
+	pl.st = sChase
+}
+
+// giveUp ends the attempt setCASLost. The staged block was never
+// published, so never hinted: freed unstamped.
+func (pl *setPlan) giveUp() {
+	pl.c.alloc.Free(pl.addr, pl.size)
+	pl.outcome = setCASLost
+	pl.st = sDone
 }
 
 // classifyThrough runs the post-candidate classification for every bucket
@@ -704,6 +786,20 @@ func (pl *setPlan) stage(fp byte) {
 	c := pl.c
 	pl.now = c.p.Now()
 	pl.addr = c.allocOrEvict(pl.size)
+	pl.buildExt()
+	// Every staged image gets a fresh incarnation stamp — unconditionally,
+	// because nextVer is a plain counter (no RNG, no verbs) and an
+	// unconditional stamp keeps the image layout identical whether or not
+	// speculative Gets are enabled.
+	pl.ver = c.nextVer()
+	pl.data = encodeObjectInto(pl.data, pl.key, pl.value, pl.extBuf, pl.tenant, pl.expiry, pl.ver)
+	pl.want = hashtable.EncodeAtomic(fp, hashtable.SizeToBlocks(pl.size), pl.addr)
+	pl.st = sWrite
+}
+
+// buildExt builds the staged image's extension metadata into extBuf.
+func (pl *setPlan) buildExt() {
+	c := pl.c
 	switch {
 	case pl.mode == pUpdate && !pl.expUpd:
 		pl.extBuf = c.updateExt(pl.extBuf, pl.updSlot, pl.updDec, pl.size, pl.now)
@@ -720,14 +816,21 @@ func (pl *setPlan) stage(fp byte) {
 		// staged exactly as for an insert.
 		pl.extBuf = c.initExts(pl.extBuf, pl.size, pl.now)
 	}
-	// Every staged image gets a fresh incarnation stamp — unconditionally,
-	// because nextVer is a plain counter (no RNG, no verbs) and an
-	// unconditional stamp keeps the image layout identical whether or not
-	// speculative Gets are enabled.
-	pl.ver = c.nextVer()
-	pl.data = encodeObjectInto(pl.data, pl.key, pl.value, pl.extBuf, pl.tenant, pl.expiry, pl.ver)
-	pl.want = hashtable.EncodeAtomic(fp, hashtable.SizeToBlocks(pl.size), pl.addr)
-	pl.st = sWrite
+}
+
+// restage rebuilds the extension metadata against the copy a chase
+// re-pointed the update at and patches it into the staged image,
+// reporting whether the image changed (and so needs its WRITE again).
+// Key, value, header stamp and incarnation are the attempt's own and
+// stay; the block was never published, so no hint can hold its stamp.
+func (pl *setPlan) restage() bool {
+	staged := pl.data[objHeader : objHeader+len(pl.extBuf)]
+	pl.buildExt()
+	if bytes.Equal(staged, pl.extBuf) {
+		return false
+	}
+	copy(staged, pl.extBuf)
+	return true
 }
 
 // ---------------------------------------------------------------- Delete ----
@@ -1217,7 +1320,7 @@ func (pl *migratePlan) Step(eager bool) []exec.Verb {
 		pl.inserted = true
 	case setPresent:
 		pl.inserted = false
-	default: // setNoFree / setCASLost: destination needs the serial retry loop
+	default: // setNoFree / setCASLost: the driver retries the slot serially
 		pl.outcome = migFallback
 		pl.st = 2
 		return nil

@@ -475,7 +475,7 @@ func (m *MultiClient) readQuiet(node int, key []byte) ([]byte, bool) {
 	var val []byte
 	var hit bool
 	if rdma.CatchUnreachable(func() {
-		pl := c.walk(key)
+		pl := c.walk(key, false)
 		if hit = pl.hit; hit {
 			val = append([]byte(nil), pl.dec.value...)
 		}

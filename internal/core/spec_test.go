@@ -117,6 +117,11 @@ func TestSpecGetNoResurrectionAfterDelete(t *testing.T) {
 		if reader.Stats.Misses != 1 {
 			t.Errorf("misses = %d, want 1", reader.Stats.Misses)
 		}
+		// The walk found no copy to re-record, so the rejected hint is
+		// gone: the next Get goes straight to the walk.
+		if _, ok := reader.Get([]byte("k")); ok || reader.Stats.SpecGetFallbacks != 1 {
+			t.Errorf("second get: ok=%v, fallbacks = %d, want a plain miss", ok, reader.Stats.SpecGetFallbacks)
+		}
 	})
 	env.Run()
 }

@@ -119,7 +119,7 @@ func TestQuotaVictimChoiceStrategyEquivalent(t *testing.T) {
 			st = noisy.Stats
 			usage = [2]int64{cl.TenantUsage(1), cl.TenantUsage(2)}
 			probe := func(k []byte) {
-				if noisy.walk(k).hit {
+				if noisy.walk(k, false).hit {
 					survivors[string(k)] = true
 				}
 			}

@@ -20,10 +20,11 @@
 //     the batch. Identical READs posted by different plans in the same
 //     round are issued once and fanned out.
 //
-// Plans whose doorbell attempt hits a complication (stale snapshot, lost
-// CAS, full bucket) simply finish with that outcome; their drivers demote
-// them to the serial retry path, which re-runs the SAME plan definition
-// under the Serial strategy — so batched and sequential execution are
+// Plans whose attempt hits a complication they cannot resolve from what
+// their verbs returned (stale snapshot, full bucket, a CAS lost to an
+// unrelated writer) simply finish with that outcome; their drivers re-run
+// the SAME plan definition — a batch driver its unsettled keys together,
+// under Doorbell again — so batched and sequential execution are
 // observably equivalent by construction, and the verb sequences live in
 // exactly one place.
 package exec
@@ -33,8 +34,8 @@ import "ditto/internal/rdma"
 // Strategy selects how a set of plans traverses its verb stages. The
 // strategies differ ONLY in traversal shape and round-trip overlap —
 // every plan reaches the same outcome under either (complications
-// included), which is what lets drivers demote a doorbell plan to the
-// serial retry path without changing observable behaviour.
+// included), which is what lets a driver re-run a plan under whichever
+// strategy suits it without changing observable behaviour.
 type Strategy int
 
 // The two execution strategies.

@@ -5,8 +5,8 @@
 // A hint is a pure acceleration structure, never a source of truth. The
 // read path uses it to issue ONE speculative READ of the remembered
 // object block and then validates the returned image in place (inline
-// key, incarnation stamp, tenant, lease expiry — see core's
-// specGetPlan); any mismatch silently falls back to the ordinary
+// key, incarnation stamp, tenant, lease expiry — see core's getPlan,
+// speculative stage); any mismatch silently falls back to the ordinary
 // two-RTT bucket walk. Correctness therefore never depends on hint
 // invalidation: a stale hint costs one wasted READ, nothing more, so
 // nothing in the system ever needs to find or update another client's
@@ -140,8 +140,9 @@ func (c *Cache) evict() int32 {
 
 // Drop forgets key's hint, if present. Allocation-free. Dropping is only
 // ever an optimization (the dropped hint would have failed validation
-// and fallen back); the read path calls it after a fallback so the next
-// Get goes straight to the bucket walk.
+// and fallen back); the read path calls it after a fallback whose walk
+// found no copy to re-record, so the next Get goes straight to the bucket
+// walk.
 func (c *Cache) Drop(key []byte) {
 	i, ok := c.idx[string(key)]
 	if !ok {
