@@ -86,6 +86,43 @@ func (pl *fakeSpecGetPlan) Absorb(res []int) {
 	_ = onStale
 }
 
+// fakeArmedSetPlan mirrors the store plan's prefetched eviction: while
+// the walk scans, Step appends the armed eviction's group behind the
+// walk's in the SAME retained slice, and Absorb hands each plan its share
+// of the completions by subslicing. The flagged forms are the ways that
+// composition would quietly allocate per Set into a full cache (the row
+// allocs_test pins at 0).
+type fakeArmedSetPlan struct {
+	verbs []verb
+	ev    *fakePlan
+	nWalk int
+}
+
+func (pl *fakeArmedSetPlan) Step(eager bool) []verb {
+	pl.verbs = append(pl.verbs[:0], verb{addr: 8}) // the walk's group: no finding
+	pl.nWalk = len(pl.verbs)
+	if pl.ev != nil {
+		pl.verbs = append(pl.verbs, pl.ev.Step(eager)...) // the eviction's rides behind it: no finding
+	}
+
+	joined := append([]verb{}, pl.verbs...) // want `\[\]core\.verb literal in hot function Step allocates per call`
+	_ = joined
+
+	return pl.verbs
+}
+
+func (pl *fakeArmedSetPlan) Absorb(res []int) {
+	if len(res) > pl.nWalk {
+		pl.ev.Absorb(res[pl.nWalk:]) // subslice hand-off: no finding
+		res = res[:pl.nWalk]
+	}
+
+	mine := make([]int, pl.nWalk) // want `make in hot function Absorb allocates per call`
+	copy(mine, res)
+
+	pl.ev = &fakePlan{} // want `&core\.fakePlan literal in hot function Absorb heap-allocates per call`
+}
+
 // growFixture is the free-function grow idiom: allocation lives outside
 // the swept plan methods, exactly like core's real grow helper.
 func growFixture(b []byte, n int) []byte {

@@ -10,16 +10,35 @@ type Plan interface{ Step() []int }
 type Result struct{ Old uint64 }
 
 type SerialRunner struct {
-	free [][]Result
+	free []*frame
+}
+
+// frame mirrors the serial runner's per-nesting-depth post scratch.
+type frame struct {
+	ops []uint64
+	res []Result
 }
 
 func (r *SerialRunner) Run(p Plan) {
-	var res []Result
+	var f *frame
 	if n := len(r.free); n > 0 {
-		res, r.free = r.free[n-1][:0], r.free[:n-1] // free-list pop: no finding
+		f, r.free = r.free[n-1], r.free[:n-1] // free-list pop: no finding
+	} else {
+		//dittolint:allow hotalloc (free-list miss: one frame per nesting depth, amortized to zero at steady state)
+		f = new(frame)
 	}
-	res = append(res, Result{}) // append into pooled buffer: no finding
-	r.free = append(r.free, res)
+	r.post(f, p.Step())
+	r.free = append(r.free, f)
+}
+
+// post is swept with the run loop it serves: a multi-verb group posts
+// from the frame's retained scratch.
+func (r *SerialRunner) post(f *frame, vs []int) {
+	f.ops = f.ops[:0]                   // retained-scratch reset: no finding
+	f.res = append(f.res[:0], Result{}) // append into pooled buffer: no finding
+
+	ops := make([]uint64, len(vs)) // want `make in hot function post allocates per call`
+	_ = ops
 }
 
 type DoorbellRunner struct {

@@ -45,22 +45,24 @@ type churnRow struct {
 // SAME workload:
 //
 //   - inline-serial: no background reclaimer; each Set that cannot
-//     allocate runs the eviction verb chain itself, one verb per RTT —
-//     the paper-faithful baseline, with the whole chain on the write's
-//     critical path.
+//     allocate runs the eviction itself — the paper-faithful baseline:
+//     prefetched beside the Set's own walk, one extra round trip (the
+//     victim CAS) on the write's critical path, the whole chain when
+//     the prefetched attempt fails.
 //   - background-serial: the proactive reclaimer evicts ahead of demand
 //     between the free-space watermarks, but runs its plans serially.
 //   - background-doorbell: the reclaimer additionally batches its
 //     eviction plans — one doorbell samples several windows and CASes
 //     several victims per round.
 //
-// The headline is Set p99: inline eviction puts sample READ, per-
-// candidate ext READs (the GDSF expert), history FAA and victim CAS on
-// the tail of every allocating Set, while background reclaim leaves
+// The headline is Set p99: inline eviction puts the per-candidate ext
+// READs (the GDSF expert) and the victim CAS on the tail of every
+// allocating Set (the sample READ and history FAA ride its bucket
+// READ), while background reclaim leaves
 // Sets stalling only when the reclaimer genuinely fell behind — visible
 // as write_stall_ms and the p99 gap. background-serial typically CANNOT
 // keep up (stall ticks pile up and p99 explodes): one reclaimer issuing
-// one verb per RTT evicts slower than many writers allocate, so the
+// one group per RTT evicts slower than many writers allocate, so the
 // doorbell batching is what makes background reclaim viable at all.
 func Churn(w io.Writer, scale Scale) error {
 	header(w, "Churn: write-heavy zipf at ~100% occupancy — inline vs background reclaim")

@@ -21,8 +21,8 @@ import (
 // keeps every key readable throughout.
 //
 // The scenario runs twice, once per reshard strategy of the verb-plan
-// executor (internal/exec): Serial issues one verb per round trip — the
-// paper-faithful baseline — while Doorbell (the default) pipelines the
+// executor (internal/exec): Serial runs one plan at a time, one verb
+// group per round trip — the paper-faithful baseline — while Doorbell (the default) pipelines the
 // table scan and the per-key migrations as doorbell batches. Three equal
 // phases are reported for each: steady state on 2 MNs, the reshard window
 // (both AddNode migrations run here), and steady state on 4 MNs. The

@@ -378,8 +378,21 @@ func TestChaosReclaimerKilledUnderChurn(t *testing.T) {
 			}
 			// The most recent window must be exact: churn overwrote
 			// nothing here, so hits must carry the right versions and
-			// the pool must still accept writes.
-			h.CheckConverged(c, span-200, span)
+			// the pool must still accept writes. It converges only
+			// eventually: a rewrite is an out-of-place update, so it
+			// allocates before it frees and keeps the pool under the
+			// low watermark — the respawned reclaimers are evicting
+			// THROUGH the rewrite pass, and every once-written key ties
+			// at freq 1, so one rewritten a moment ago is a legal victim.
+			// When a Set lost two round trips (WRITE+CAS and the sample's
+			// FAA each joined a group) the pass shifted against the
+			// reclaimer's rounds and seeds 5 and 13 lost two keys each to
+			// exactly that: logging the evictor of every missing key
+			// showed the reclaimer, 0.1–0.3 ms AFTER the key's rewrite had
+			// landed (the victim's last_ts was the rewrite's), never a
+			// lost write. So: bounded rewrite-and-read, as the sibling
+			// schedule checks its pool under reclaim.
+			h.CheckEventuallyConverged(c, span-200, span)
 			finished = true
 		})
 		env.Run()

@@ -109,6 +109,44 @@ func TestAllocsPerOpSteadyState(t *testing.T) {
 	multiClientAllocs(t, false)
 	multiClientAllocs(t, true)
 	contendedBatchAllocs(t)
+	fullCacheSetAllocs(t)
+}
+
+// fullCacheSetAllocs holds the Set into a full adaptive cache — every
+// cache-aside fill of a churning workload — to the clean Set's ceiling:
+// the prefetched eviction's plan comes from the client's pool, its groups
+// ride the store plan's verb scratch, and the multi-verb groups post from
+// the serial runner's frames.
+func fullCacheSetAllocs(t *testing.T) {
+	env := sim.NewEnv(16)
+	cl := NewCluster(env, DefaultOptions(1000, 1000*320))
+	env.Go("meter", func(p *sim.Proc) {
+		c := cl.NewClient(p)
+		const warm, runs = 600, 200
+		first := fillUntilDry(t, c)
+		keys := make([][]byte, warm+runs+1)
+		for i := range keys {
+			keys[i] = key(first + i)
+		}
+		val, next := big(0), 0
+		for ; next < warm; next++ { // past a whole allocator back-off period
+			c.Set(keys[next], val)
+		}
+		before := c.Stats
+		sets := testing.AllocsPerRun(runs, func() {
+			c.Set(keys[next], val)
+			next++
+		})
+		evicted := c.Stats.Evictions - before.Evictions
+		t.Logf("allocs/op: set into a full cache=%.1f (%d evictions)", sets, evicted)
+		if sets != 0 {
+			t.Errorf("Set into a full adaptive cache allocates %.1f objects/op, want 0", sets)
+		}
+		if evicted < runs {
+			t.Errorf("measured loop evicted %d times in %d Sets: the cache was not full", evicted, runs)
+		}
+	})
+	env.Run()
 }
 
 // contendedBatchAllocs holds the batches' complication paths to the clean

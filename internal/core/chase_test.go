@@ -40,7 +40,7 @@ func TestChaseMeetsAnotherKey(t *testing.T) {
 		fired := 0
 		c.runner.Serial.Run(hookedPlan{pl, func(st int) {
 			switch {
-			case st == sCAS && fired == 0:
+			case st == sWrite && fired == 0: // WRITE and CAS are one group: ahead of both
 				fired++
 				o.Set(k, value(3)) // moves K: our CAS loses to this image
 			case st == sChase && fired == 1:
@@ -99,7 +99,7 @@ func TestChaseSettlesTheChasedCopy(t *testing.T) {
 				pl := a.sets.get().reset(a, k, value(1))
 				fired := false
 				a.runner.Serial.Run(hookedPlan{pl, func(st int) {
-					if st == sCAS && !fired {
+					if st == sWrite && !fired { // ahead of the WRITE+CAS group
 						fired = true
 						if expired {
 							b.nextExpiry = 1 // a lease that lapsed long ago

@@ -43,8 +43,10 @@ type Stats struct {
 	// WriteStallTicks counts the bounded stall rounds a write's
 	// allocOrEvict slept waiting for the background reclaimer (zero when
 	// none is enabled). WriteStallNs is the total virtual time writes
-	// spent beyond a clean allocation — reclaimer stall ticks plus any
-	// inline eviction verbs — the eviction-stall time of the churn bench.
+	// spent in rounds that exist only because they had to make room —
+	// reclaimer stall ticks, inline eviction verbs, and the rounds a
+	// prefetched eviction ran after the write's own walk was done (its
+	// victim CAS, typically) — the eviction-stall time of the churn bench.
 	WriteStallTicks int64
 	WriteStallNs    int64
 
@@ -129,9 +131,9 @@ type Client struct {
 	// shard of the cluster's ServedReads counter. meta8 backs the
 	// DisableSFHT ablation's per-hit metadata WRITE (safe to reuse:
 	// WriteAsync applies before returning). extMeta is the scratch
-	// Metadata handed to expert Init/UpdateExt calls — passing a local
-	// through the interface forces a heap allocation per call, and the
-	// contract says experts must not retain the pointer.
+	// Metadata handed to expert Init/UpdateExt/Priority calls — passing a
+	// local through the interface forces a heap allocation per call, and
+	// the contract says experts must not retain the pointer.
 	runner  exec.Runner
 	served  *stats.CounterCell
 	meta8   [8]byte
@@ -531,9 +533,11 @@ func (c *Client) collectRegrets(matches []hashtable.Slot) {
 const shrinkEvictBatch = 8
 
 // Set inserts or updates key. Critical path for an insert: one READ
-// (bucket search), one WRITE (object to a free location) and one CAS
-// (publish the pointer) — §4.1 — plus eviction work only when the memory
-// pool is full. The verb sequence is the setPlan in plan.go — the same
+// (bucket search), then one WRITE (object to a free location) and one
+// CAS (publish the pointer) sharing a round trip — §4.1 — plus eviction
+// work only when the memory pool is full, and then one round trip more
+// (the victim CAS): the store driver prefetches the eviction beside the
+// bucket READ. The verb sequence is the setPlan in plan.go — the same
 // plan MSet runs as doorbell batches — traversed serially here by the
 // store driver.
 func (c *Client) Set(key, value []byte) {
@@ -564,9 +568,11 @@ func (c *Client) store(key, value []byte, pl *setPlan, counted bool, start int64
 	for attempt := 0; attempt < storeAttempts; attempt++ {
 		if pl == nil {
 			pl = c.sets.get().reset(c, key, value)
+			c.arm(pl)
 			c.runner.Serial.Run(pl)
 		}
 		stored := c.settle(pl, counted, start)
+		c.disarm(pl)
 		c.sets.put(pl)
 		if stored {
 			return true
@@ -577,6 +583,45 @@ func (c *Client) store(key, value []byte, pl *setPlan, counted bool, start int64
 		}
 	}
 	return false
+}
+
+// arm takes the attempt's block before its first verb, and when the
+// allocator has none — the pool is full — prefetches the eviction with a
+// pooled evictPlan instead (setPlan, plan.go): dryness is known up front,
+// so the eviction's sample rides the bucket READ's round trip instead of
+// following the walk. Alloc itself answers, so its back-off, pool-probe
+// and segment-retry cadence — how a client in a full cache finds grown
+// memory — is kept in one place. Never beside a background reclaimer:
+// making room is its job, and the write's the bounded stall in
+// allocOrEvict.
+func (c *Client) arm(pl *setPlan) {
+	if c.cl.reclaimEnabled {
+		return
+	}
+	if pl.addr, pl.held = c.alloc.Alloc(pl.size); !pl.held {
+		pl.ev = c.evs.get().reset(c)
+	}
+}
+
+// disarm takes back what arm gave a finished attempt: a block it never
+// staged (the walk ended setNoFree) goes back on the free list; its
+// eviction is counted as a resample when it was one (evictBatch's
+// convention) and put back whatever state the plan left it in — won,
+// lost, or dropped between groups, where it owns nothing.
+func (c *Client) disarm(pl *setPlan) {
+	if pl.held {
+		c.alloc.Free(pl.addr, pl.size)
+		pl.held = false
+	}
+	ev := pl.ev
+	if ev == nil {
+		return
+	}
+	if ev.resample() {
+		c.Stats.EvictResamples++
+	}
+	c.evs.put(ev)
+	pl.ev = nil
 }
 
 // settle consumes one finished store attempt, shared by the serial
@@ -624,6 +669,11 @@ const (
 
 // allocOrEvict allocates size bytes, evicting objects until space frees
 // up; it panics only when the pool is exhausted with nothing evictable.
+//
+// A serial Set into a full cache normally never evicts here: its store
+// driver prefetched the eviction (store), and the victim's block is on
+// the free list by now. This is what is left — batched stores, writes
+// behind a background reclaimer, a prefetched attempt that freed nothing.
 //
 // With a background reclaimer enabled (Cluster.EnableBackgroundReclaim)
 // the inline eviction is the LAST resort: a successful allocation that

@@ -129,8 +129,9 @@ type Cluster struct {
 	// multi-plan batches run — the background reclaimer's rounds and the
 	// write paths' over-budget drains. exec.Doorbell (the default) samples
 	// several windows and CASes several victims per doorbell round;
-	// exec.Serial issues one verb per round trip, the paper-faithful
-	// per-key chain the tests and bench comparison rows use as reference.
+	// exec.Serial runs one plan at a time, one verb group per round trip,
+	// the paper-faithful per-key chain the tests and bench comparison rows
+	// use as reference.
 	// Results are identical (pinned by the eviction equivalence test);
 	// single evictions on the write path always run serially. Read at use
 	// time; a MultiCluster sets it on every node (SetStrategy).

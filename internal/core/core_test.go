@@ -348,9 +348,20 @@ func TestExtensionAlgorithmsEndToEnd(t *testing.T) {
 		if c.Stats.Evictions == 0 {
 			t.Fatal("no evictions")
 		}
-		v, ok := c.Get(key(96))
-		if !ok || !bytes.Equal(v, value(96)) {
-			t.Fatal("hot key lost or corrupted with extension metadata")
+		// Sampled eviction takes a hot key now and then (the parent commit
+		// ends this loop with 15 of the 97 absent), so no single key is
+		// pinned: none may be corrupted, and most must have survived 2000
+		// evicting Sets on their one Get in 97.
+		lost := 0
+		for k := 0; k < 97; k++ {
+			if v, ok := c.Get(key(k)); !ok {
+				lost++
+			} else if !bytes.Equal(v, value(k)) {
+				t.Fatalf("hot key %d corrupted with extension metadata", k)
+			}
+		}
+		if lost > 97/3 {
+			t.Fatalf("%d of 97 hot keys lost with extension metadata", lost)
 		}
 	})
 	env.Run()

@@ -25,7 +25,9 @@ type candidate struct {
 // (when adaptive) convert the victim's slot into a lightweight history
 // entry. The verb sequence is the evictPlan in plan.go — the same plan
 // the background reclaimer and the over-budget drains run as doorbell
-// batches — traversed serially here.
+// batches, and the one a serial Set prefetches beside its own walk
+// (Client.arm) — traversed serially here, for the writes left to evict
+// inline (allocOrEvict).
 //
 // It returns false when no object could be evicted after bounded
 // resampling (e.g. an empty cache).
@@ -34,10 +36,11 @@ func (c *Client) evictOne() bool { return c.evictBatch(1, exec.Serial) == 1 }
 // evictBatch reclaims up to n victims with evict plans executed under
 // strat: exec.Doorbell samples several windows and CASes several victims
 // per round (one doorbell per stage across the batch), exec.Serial runs
-// the same plans one verb per round trip. CAS losers and empty windows
-// resample in later rounds, bounded by evictAttempts plan executions in
-// total; a full-table sample that found nothing live ends the batch
-// early — nothing is evictable. Returns the number of victims reclaimed.
+// the same plans one after another, one group per round trip. CAS losers
+// and empty windows resample in later rounds, bounded by evictAttempts
+// plan executions in total; a full-table sample that found nothing live
+// ends the batch early — nothing is evictable. Returns the number of
+// victims reclaimed.
 func (c *Client) evictBatch(n int, strat exec.Strategy) int {
 	won, attempts := 0, 0
 	for won < n && attempts < evictAttempts {
@@ -60,21 +63,17 @@ func (c *Client) evictBatch(n int, strat exec.Strategy) int {
 		c.runner.RunPlans(strat, run)
 		exhausted := false
 		for _, pl := range plans {
-			switch pl.outcome {
-			case evictWon:
+			switch {
+			case pl.outcome == evictWon:
 				won++
-			case evictNone:
-				if pl.fullScan {
-					// The sample covered every slot and found nothing live:
-					// nothing further is evictable. Finish counting this
-					// round's wins (later plans in the batch may still have
-					// reclaimed something) before giving up.
-					exhausted = true
-					continue
-				}
+			case pl.resample():
 				c.Stats.EvictResamples++
-			case evictLost:
-				c.Stats.EvictResamples++
+			case pl.outcome == evictNone:
+				// The sample covered every slot and found nothing live:
+				// nothing further is evictable. Finish counting this
+				// round's wins (later plans in the batch may still have
+				// reclaimed something) before giving up.
+				exhausted = true
 			}
 		}
 		for _, pl := range plans {
@@ -201,12 +200,13 @@ func tenantVictims(cands []candidate, now int64, overQ uint64) (expired int, ove
 func (c *Client) lowestPriority(e int, cands []candidate, now int64) (best int, bestP float64) {
 	a, off := c.experts[e], c.extOff[e]
 	best = -1
+	m := &c.extMeta // a local would escape through the interface call: one allocation per candidate
 	for i := range cands {
-		m := cands[i].meta
+		*m = cands[i].meta
 		if a.ExtSize() > 0 {
 			m.Ext = m.Ext[off : off+a.ExtSize()]
 		}
-		if p := a.Priority(&m, now); best < 0 || p < bestP {
+		if p := a.Priority(m, now); best < 0 || p < bestP {
 			best, bestP = i, p
 		}
 	}

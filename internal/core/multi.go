@@ -195,11 +195,11 @@ func NewMultiCluster(env *sim.Env, n int, opts Options) *MultiCluster {
 // materialization, write-through updates, invalidations) and each node's
 // eviction batches (Cluster.Strategy). exec.Doorbell (the default) posts
 // each stage across the batch as one doorbell per endpoint; exec.Serial
-// issues one verb per round trip — the paper-faithful reference the
-// equivalence tests and the bench comparison rows run against. Results
-// are identical: a plan that hits a complication reaches the same
-// outcome and is re-run by its driver either way. Takes effect immediately,
-// pool-wide, and on nodes added later.
+// runs one plan at a time, one verb group per round trip — the
+// paper-faithful reference the equivalence tests and the bench comparison
+// rows run against. Results are identical: a plan that hits a complication
+// reaches the same outcome and is re-run by its driver either way. Takes
+// effect immediately, pool-wide, and on nodes added later.
 func (mc *MultiCluster) SetStrategy(s exec.Strategy) {
 	mc.strategy = s
 	for _, id := range mc.order {
@@ -850,8 +850,13 @@ type MultiClient struct {
 	promo   []promoCand // hot-key promotion candidates queued by the hit hook
 
 	// runner drives plans that span several per-node clients: replica
-	// fan-outs and the resharder's migration batches.
-	runner exec.Runner
+	// fan-outs and the resharder's migration batches. fanSets, fanDels and
+	// fanRun are the replica fan-outs' in-flight plans (from the per-node
+	// clients' pools) — one set suffices, a fan-out never nests another.
+	runner  exec.Runner
+	fanSets []*setPlan
+	fanDels []*delPlan
+	fanRun  []exec.Plan
 
 	// The one-element batch behind Get/Set/TrySet/Delete, and the free
 	// list of pipeline scratch, so single-key operations allocate nothing

@@ -5,9 +5,9 @@ package core
 //
 //	Get:     [ONE hinted object READ, validated in place →]
 //	         key walk                                       → hit/miss/stale
-//	Set:     key walk → classify → object WRITE →
-//	         publish CAS [→ lost to the key's newer image:
-//	         READ it → (WRITE) → CAS again]                 → done/noFree/casLost
+//	Set:     key walk → classify → object WRITE + publish
+//	         CAS [→ lost to the key's newer image: READ it
+//	         → (WRITE +) CAS again]                         → done/noFree/casLost
 //	Migrate: Set in insert-if-absent mode (absence verified
 //	         in BOTH buckets, metadata carried over, post-
 //	         publish duplicate sweep = a second key walk
@@ -25,9 +25,12 @@ package core
 // per-key paths verb for verb: a Get that hits in the main bucket never
 // reads the backup bucket, an insert stops at the first bucket with a
 // reclaimable slot. Doorbell traversal (exec.Doorbell) is eager — both
-// buckets, then every candidate object, as one stage each, an object
-// WRITE and its publishing CAS as one group — so N plans advance as
-// shared doorbell batches. A complication a plan can resolve from what
+// buckets, then every candidate object, as one stage each — so N plans
+// advance as shared doorbell batches. Under either, verbs that depend on
+// nothing the plan has yet to learn share a group (an object WRITE and
+// its publishing CAS, an eviction's sample READs and its history-ID FAA),
+// and a group is one round trip: a plan costs its dependency levels, not
+// its verbs. A complication a plan can resolve from what
 // its verbs returned stays inside it (a rejected hint continues into the
 // walk, a CAS lost to a newer image of the key chases it); the rest
 // (stale snapshot, full bucket, a CAS lost to anything else) finish the
@@ -420,9 +423,10 @@ func (pl *getPlan) validHint(img []byte) (decodedObject, bool) {
 
 // setPlan states.
 const (
-	sScan  = iota // the key walk
-	sWrite        // object WRITE (eager: WRITE and publishing CAS, one group)
-	sCAS          // publishing CAS
+	sScan  = iota // the key walk (an armed eviction's groups ride beside it)
+	sEvict        // walk classified, armed eviction still in flight: its remaining groups
+	sWrite        // object WRITE and publishing CAS, one group
+	sCAS          // publishing CAS alone (a chase left the staged image as written)
 	sChase        // READ of the image that beat our CAS to the slot
 	sSweep        // migrate mode: post-publish duplicate sweep (second walk)
 	sDone
@@ -457,12 +461,26 @@ const (
 // that classification, the reclaimable-slot search over the walk's
 // slots, the staged image and the post-CAS settlement.
 //
-// Under eager traversal the WRITE and the CAS are ONE verb group: an RC
-// queue pair executes in posting order (and PostBatch applies effects in
+// The WRITE and the CAS are ONE verb group under either traversal: an RC
+// queue pair executes in posting order (and a doorbell applies effects in
 // posting order), so the CAS can never publish a block its WRITE has not
-// filled, and a losing CAS leaves only a private block behind. A batched
-// store is therefore three doorbells — bucket READs, object READs,
-// WRITE+CAS — and its snapshot→CAS window one round shorter.
+// filled, and a losing CAS leaves only a private block behind. A clean
+// insert is therefore two round trips — bucket READ, WRITE+CAS — and a
+// batched store three doorbells — bucket READs, object READs, WRITE+CAS.
+//
+// A Set into a full cache stays three round trips by PREFETCHING its
+// eviction: the serial store driver takes the block before the first verb
+// and, when the allocator has none, arms the plan with an evictPlan (ev).
+// The eviction's groups then ride beside the walk's — sample READ(s) and
+// history-ID FAA beside the bucket READ, the victim CAS beside the
+// candidate object READ if there is one — and stage waits (sEvict) for
+// whatever the eviction still has in flight, so the victim's block is on
+// the free list when it allocates. An attempt that samples nothing or
+// loses its victim CAS leaves stage to allocOrEvict's inline loop, as an
+// unarmed plan; a walk that ends without staging (setNoFree) drops the
+// attempt between groups, where it owns nothing. Batch drivers never arm:
+// a batch's own updates free blocks mid-batch, so prefetching one victim
+// per pair would over-evict.
 //
 // A publish CAS that loses returns the slot's current atomic. When that
 // is a live object carrying the key's fingerprint — the usual loss: a
@@ -512,6 +530,18 @@ type setPlan struct {
 	lastEager bool // traversal mode of the in-flight group
 	doneBkt   int  // first bucket whose post-candidate logic hasn't run
 
+	// What the store driver armed the attempt with (Client.arm; it takes
+	// both back): the block in addr when held, else — the allocator had
+	// none — the eviction to prefetch (nil: unarmed). Then how many of the
+	// in-flight sScan group's verbs are the walk's (the eviction's
+	// follow), and when the in-flight sEvict group was emitted — a round
+	// that exists only because the write had to evict, so its time is
+	// Stats.WriteStallNs.
+	held      bool
+	ev        *evictPlan
+	nWalk     int
+	stallFrom int64
+
 	mode    int
 	updSlot hashtable.Slot
 	updDec  decodedObject
@@ -548,6 +578,7 @@ func (pl *setPlan) reset(c *Client, key, value []byte) *setPlan {
 	pl.rnow = c.p.Now()
 	pl.expUpd = false
 	pl.st, pl.lastEager, pl.doneBkt = sScan, false, 0
+	pl.held, pl.ev = false, nil
 	pl.mode = pUpdate
 	pl.updSlot, pl.insSlot = hashtable.Slot{}, hashtable.Slot{}
 	pl.updDec = decodedObject{}
@@ -565,20 +596,29 @@ func (pl *setPlan) Step(eager bool) []exec.Verb {
 	for {
 		switch pl.st {
 		case sScan:
-			if vs := pl.step(eager); len(vs) > 0 {
+			vs := pl.step(eager)
+			if len(vs) == 0 {
+				pl.finishScan()
+				continue
+			}
+			pl.nWalk = len(vs)
+			if pl.ev != nil {
+				pl.verbs = append(vs, pl.ev.Step(eager)...)
+			}
+			return pl.verbs
+		case sEvict:
+			if vs := pl.ev.Step(eager); len(vs) > 0 {
+				pl.stallFrom = pl.c.p.Now()
 				return vs
 			}
-			pl.finishScan()
+			pl.stage()
 		case sWrite, sCAS:
 			pl.verbs = pl.verbs[:0]
 			if pl.st == sWrite {
 				pl.verbs = append(pl.verbs, exec.Verb{EP: pl.c.ep, Op: rdma.BatchOp{
 					Kind: rdma.BatchWrite, Addr: pl.addr, Data: pl.data,
 				}})
-				if !eager {
-					return pl.verbs
-				}
-				pl.st = sCAS // eager: the CAS rides the same group, behind the WRITE
+				pl.st = sCAS // the CAS rides the same group, behind the WRITE
 			}
 			target := pl.target()
 			pl.verbs = append(pl.verbs, casVerb(pl.c, target.Addr, target.Atomic, pl.want))
@@ -610,6 +650,12 @@ func (pl *setPlan) Absorb(res []exec.Result) {
 	c := pl.c
 	switch pl.st {
 	case sScan:
+		if len(res) > pl.nWalk {
+			// The armed eviction absorbs first: what the walk decides next
+			// (stage) depends on where the eviction stands.
+			pl.ev.Absorb(res[pl.nWalk:])
+			res = res[:pl.nWalk]
+		}
 		// Lazy traversal reads one candidate per group and commits at the
 		// FIRST key match, before later candidates (or the next bucket)
 		// are even read. Eager traversal decodes everything first and lets
@@ -621,10 +667,11 @@ func (pl *setPlan) Absorb(res []exec.Result) {
 		if pl.ci == len(pl.cands) {
 			pl.classifyThrough(pl.bi)
 		}
-	case sWrite:
-		pl.st = sCAS
+	case sEvict:
+		pl.ev.Absorb(res)
+		c.Stats.WriteStallNs += c.p.Now() - pl.stallFrom
 	case sCAS:
-		if cas := res[len(res)-1]; !cas.Swapped { // the group's last verb, behind an eager WRITE
+		if cas := res[len(res)-1]; !cas.Swapped { // the group's last verb, behind the WRITE if there is one
 			pl.lost(hashtable.AtomicField(cas.Old))
 			return
 		}
@@ -694,7 +741,7 @@ func (pl *setPlan) matched(cand *walkCand) {
 	pl.expUpd = pl.c.cl.tenantMode && cand.dec.expired(pl.rnow)
 	pl.mode = pUpdate
 	pl.updSlot, pl.updDec = cand.slot, cand.dec
-	pl.stage(pl.updSlot.Atomic.FP())
+	pl.stage()
 }
 
 // lost handles a lost publish CAS that left now in the slot. An UPDATE
@@ -774,18 +821,33 @@ func (pl *setPlan) finishScan() {
 // startInsert stages the INSERT into the claimed reclaimable slot.
 func (pl *setPlan) startInsert() {
 	pl.mode = pInsert
-	pl.stage(pl.fp)
+	pl.stage()
 }
 
-// stage allocates the object block (may evict, with serial verbs — the
-// same off-plan work the hand-written paths did between stages), builds
-// its image and the publishing atomic, and advances to the WRITE stage.
-// An UPDATE is out of place: the new value goes to a fresh block and the
-// CAS re-points the slot (as in RACE hashing).
-func (pl *setPlan) stage(fp byte) {
+// stage allocates the object block, builds its image and the publishing
+// atomic, and advances to the WRITE stage — once an armed eviction has
+// nothing left in flight (sEvict runs what it has, then comes back here).
+// The allocation evicts inline, with a nested serial run, when there is
+// no block to be had: an unarmed plan in a full cache, or an armed one
+// whose attempt freed nothing of this size. An UPDATE is out of place:
+// the new value goes to a fresh block and the CAS re-points the slot (as
+// in RACE hashing), under the fingerprint the slot already carries.
+func (pl *setPlan) stage() {
+	if pl.ev != nil && pl.ev.st != evDone {
+		pl.st = sEvict
+		return
+	}
 	c := pl.c
+	fp := pl.fp
+	if pl.mode == pUpdate {
+		fp = pl.updSlot.Atomic.FP()
+	}
 	pl.now = c.p.Now()
-	pl.addr = c.allocOrEvict(pl.size)
+	if pl.held {
+		pl.held = false // the block arm took up front is the staged one now
+	} else {
+		pl.addr = c.allocOrEvict(pl.size)
+	}
 	pl.buildExt()
 	// Every staged image gets a fresh incarnation stamp — unconditionally,
 	// because nextVer is a plain counter (no RNG, no verbs) and an
@@ -949,7 +1011,6 @@ func (c *Client) hasOtherCopy(key []byte, exclAddr uint64) bool {
 const (
 	evSample = iota
 	evExt
-	evFAA
 	evCAS
 	evLWH
 	evDone
@@ -964,13 +1025,17 @@ const (
 )
 
 // evictPlan is one sample-based eviction attempt (§4.2) as a verb plan:
-// stage the sample-window READ(s), stage any extension-metadata READs,
-// then — once every expert has nominated and the pre-drawn deciding
-// expert picked the victim — stage the history-ID FAA and the victim CAS
-// (plain CAS-to-empty when adaptive caching is off). The sample start
-// and the deciding expert are drawn from the client RNG at RESET time,
-// so a batch of plans consumes the same random sequence whichever
-// strategy executes it — the hinge of the Serial/Doorbell equivalence.
+// stage the sample-window READ(s) — with the history-ID FAA in the same
+// group when adaptive: the ID depends on nothing the sample returns, so
+// it costs no round trip of its own, and an attempt that then finds no
+// candidate or loses its CAS merely skips an ID (history.go) — stage any
+// extension-metadata READs, then, once every expert has nominated and the
+// pre-drawn deciding expert picked the victim, the victim CAS (plain
+// CAS-to-empty when adaptive caching is off). The sample start and the
+// deciding expert are drawn from the client RNG at RESET time, so a batch
+// of plans consumes the same random sequence whichever strategy executes
+// it — the hinge of the Serial/Doorbell equivalence — and a plan armed
+// on a setPlan draws when the store driver arms it.
 //
 // CAS losses and empty windows finish the plan with that outcome; the
 // drivers (evictOne, evictBatch) resample with a fresh plan, bounded by
@@ -1095,12 +1160,15 @@ func (pl *evictPlan) Step(eager bool) []exec.Verb {
 	for {
 		switch pl.st {
 		case evSample:
-			// No short-circuit between the (at most two) wrap-around READs:
-			// emit them as one group under either traversal, exactly as the
-			// synchronous Sample issues them back to back.
+			// No short-circuit between the (at most two) wrap-around READs,
+			// and the history ID waits on neither: one group under either
+			// traversal.
 			pl.verbs = pl.verbs[:0]
 			for _, op := range pl.sampleOps {
 				pl.verbs = append(pl.verbs, exec.Verb{EP: pl.c.ep, Op: op})
+			}
+			if pl.c.adapt != nil {
+				pl.verbs = append(pl.verbs, exec.Verb{EP: pl.c.ep, Op: pl.c.hist.NextIDOp()})
 			}
 			return pl.verbs
 		case evExt:
@@ -1108,13 +1176,12 @@ func (pl *evictPlan) Step(eager bool) []exec.Verb {
 				pl.nominate()
 				continue
 			}
+			// Nomination needs every candidate's metadata, so no READ can
+			// short-circuit another: one group under either traversal.
 			pl.verbs = pl.verbs[:0]
-			for i := pl.ei; i < stageEnd(eager, pl.ei, len(pl.cands)); i++ {
+			for i := pl.ei; i < len(pl.cands); i++ {
 				pl.verbs = append(pl.verbs, pl.c.readVerb(pl.c.extReadOp(pl.cands[i].slot), bufAt(&pl.extBufs, i)))
 			}
-			return pl.verbs
-		case evFAA:
-			pl.verbs = append(pl.verbs[:0], exec.Verb{EP: pl.c.ep, Op: pl.c.hist.NextIDOp()})
 			return pl.verbs
 		case evCAS:
 			swap := hashtable.AtomicField(0)
@@ -1146,6 +1213,10 @@ func (pl *evictPlan) Absorb(res []exec.Result) {
 	c := pl.c
 	switch pl.st {
 	case evSample:
+		if c.adapt != nil {
+			pl.histID = c.hist.AbsorbID(res[len(res)-1].Old)
+			res = res[:len(res)-1]
+		}
 		for i, r := range res {
 			pl.slots = c.cl.Layout.AppendSlots(pl.slots, pl.sampleOps[i].Addr, r.Data)
 		}
@@ -1170,33 +1241,39 @@ func (pl *evictPlan) Absorb(res []exec.Result) {
 			c.applyExt(&pl.cands[pl.ei], r.Data)
 			pl.ei++
 		}
-	case evFAA:
-		pl.histID = c.hist.AbsorbID(res[0].Old)
-		pl.st = evCAS
 	case evCAS:
 		if !res[0].Swapped {
 			pl.outcome = evictLost // raced with another client; resample
 			pl.st = evDone
 			return
 		}
+		// The won CAS is the transfer of ownership: the victim is settled
+		// (block freed, counted) here and now, so an attempt dropped after
+		// this group owns nothing.
 		if c.adapt != nil && !pl.expVictim {
 			c.hist.FinishInsert(pl.victim.slot.Addr, pl.bitmap)
-			if c.cl.opts.DisableLWH {
-				pl.st = evLWH
-				return
-			}
 		}
 		pl.finishWin()
+		if c.adapt != nil && !pl.expVictim && c.cl.opts.DisableLWH {
+			pl.st = evLWH // one more round, of timing only
+		}
 	case evLWH:
-		pl.finishWin()
+		pl.st = evDone
 	}
+}
+
+// resample reports whether the attempt ended in a way that calls for a
+// fresh sample: it lost its victim CAS, or its window — short of the whole
+// table — held nothing live.
+func (pl *evictPlan) resample() bool {
+	return pl.outcome == evictLost || pl.outcome == evictNone && !pl.fullScan
 }
 
 // nominate runs the local half of the attempt once the sample (and any
 // extension metadata) is in: every expert nominates its lowest-priority
 // candidate, the pre-drawn deciding expert's nominee becomes the victim,
 // and the expert bitmap records who shares the blame. Advances to the
-// history FAA (adaptive) or straight to the victim CAS.
+// victim CAS.
 func (pl *evictPlan) nominate() {
 	c := pl.c
 	// The paper samples K OBJECTS; the window covers more slots so K live
@@ -1244,11 +1321,7 @@ func (pl *evictPlan) nominate() {
 			pl.bitmap |= 1 << uint(e)
 		}
 	}
-	if c.adapt != nil {
-		pl.st = evFAA
-	} else {
-		pl.st = evCAS
-	}
+	pl.st = evCAS
 }
 
 // finishWin applies the local effects of a won eviction: expert

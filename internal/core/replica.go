@@ -417,19 +417,16 @@ func (m *MultiClient) writeThrough(e *hotset.Entry, pairs []KV, i int) error {
 // are maintenance: they keep the per-node copies, but do not count as
 // logical Sets in any client's Stats.
 func (m *MultiClient) updateReplicas(e *hotset.Entry, key, value []byte) error {
-	plans := make([]*setPlan, 0, len(e.Replicas))
-	clients := make([]*Client, 0, len(e.Replicas))
-	run := make([]exec.Plan, 0, len(e.Replicas))
+	plans, run := m.fanSets[:0], m.fanRun[:0]
 	for _, id := range e.Replicas {
 		c := m.clientFor(id)
 		if c == nil {
 			continue // node left the pool; the stale entry is demoted on next touch
 		}
 		pl := c.sets.get().reset(c, key, value)
-		plans = append(plans, pl)
-		clients = append(clients, c)
-		run = append(run, pl)
+		plans, run = append(plans, pl), append(run, pl)
 	}
+	m.fanSets, m.fanRun = plans, run
 	if len(run) == 0 {
 		return nil
 	}
@@ -445,13 +442,14 @@ func (m *MultiClient) updateReplicas(e *hotset.Entry, key, value []byte) error {
 	// remaining replicas mid-store; the caller demotes the entry, so no
 	// partial copy set outlives the error.
 	var firstErr error
-	for i, pl := range plans {
-		c, pl := clients[i], pl
+	for _, pl := range plans {
+		c := pl.c
 		if c.cl.dead {
 			continue
 		}
 		// Drive the store to completion from whatever outcome the fan-out
-		// attempt reached — the client store driver, uncounted.
+		// attempt reached — the client store driver, uncounted, which
+		// takes the plan over and puts it back.
 		stored := false
 		if rdma.CatchUnreachable(func() { stored = c.store(key, value, pl, false, 0) }) != nil {
 			continue // this replica fail-stopped mid-store; skip it
@@ -495,19 +493,25 @@ func (m *MultiClient) readQuiet(node int, key []byte) ([]byte, bool) {
 // replaced that copy), so one pass suffices. Replica nodes that left the
 // pool are skipped: their copies left with them.
 func (m *MultiClient) invalidateReplicas(e *hotset.Entry) {
-	run := make([]exec.Plan, 0, len(e.Replicas))
+	plans, run := m.fanDels[:0], m.fanRun[:0]
 	for _, id := range e.Replicas {
 		if c := m.clientFor(id); c != nil {
-			run = append(run, new(delPlan).reset(c, e.Key))
+			pl := c.dels.get().reset(c, e.Key)
+			plans, run = append(plans, pl), append(run, pl)
 		}
 	}
-	if len(run) > 0 {
-		// A replica that fail-stops mid-invalidation needs none: its
-		// copies died with it, which is exactly the post-state an
-		// invalidation establishes. Live siblings' deletes still apply
-		// (partial doorbell semantics), so the invariant — no spreadable
-		// copy holds a superseded value — survives the crash.
-		_ = rdma.CatchUnreachable(func() { m.runner.RunPlans(m.mc.strategy, run) })
+	m.fanDels, m.fanRun = plans, run
+	if len(run) == 0 {
+		return
+	}
+	// A replica that fail-stops mid-invalidation needs none: its copies
+	// died with it, which is exactly the post-state an invalidation
+	// establishes. Live siblings' deletes still apply (partial doorbell
+	// semantics), so the invariant — no spreadable copy holds a
+	// superseded value — survives the crash.
+	_ = rdma.CatchUnreachable(func() { m.runner.RunPlans(m.mc.strategy, run) })
+	for _, pl := range plans {
+		pl.c.dels.put(pl)
 	}
 }
 

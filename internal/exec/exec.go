@@ -8,10 +8,13 @@
 // This package lets an operation be expressed ONCE as such a staged verb
 // plan (a Plan), and runs any set of plans under a pluggable Strategy:
 //
-//   - Serial: one verb per round trip, traversing each plan lazily — a
-//     stage short-circuits as soon as its outcome is known (a Get that
-//     hits in the main bucket never reads the backup bucket). This is the
-//     paper's per-key critical path and its verb budget.
+//   - Serial: one verb GROUP per round trip, traversing each plan lazily
+//     — a stage short-circuits as soon as its outcome is known (a Get
+//     that hits in the main bucket never reads the backup bucket). A
+//     group is what its plan declared independent, so a round trip costs
+//     a dependency level, not a verb: a lone verb is issued
+//     synchronously, two or more ring one doorbell. This is the paper's
+//     per-key critical path and its verb budget.
 //   - Doorbell: plans advance in lock-step rounds; each round gathers
 //     every plan's next verbs and posts them per endpoint with ONE RNIC
 //     doorbell (rdma.Endpoint.PostBatch), so the whole round costs its
@@ -40,8 +43,8 @@ type Strategy int
 
 // The two execution strategies.
 const (
-	// Serial runs plans one at a time, one synchronous verb per round
-	// trip, with lazy (short-circuiting) stage traversal.
+	// Serial runs plans one at a time, one verb group per round trip,
+	// with lazy (short-circuiting) stage traversal.
 	Serial Strategy = iota
 	// Doorbell runs plans in lock-step rounds, posting each round's verbs
 	// as one doorbell batch per endpoint, with eager stage traversal.
@@ -148,14 +151,33 @@ func (r *Runner) RunPlans(s Strategy, plans []Plan) {
 	}
 }
 
-// SerialRunner drives plans with synchronous verbs — each verb of a
-// group costs queueing plus one RTT — over a stack of reusable per-stage
-// result buffers. The stack makes it re-entrant: an Absorb that starts a
-// nested serial run (a Set falling into inline eviction) pops its own
-// buffers and returns them before the outer stage resumes.
+// SerialRunner drives plans one group per round trip: a single-verb
+// group is the synchronous verb (queueing plus one RTT, no doorbell —
+// every one-verb chain costs exactly what it always did), a group of two
+// or more is ONE doorbell through the post path DoorbellRunner uses, so
+// verbs a plan declared independent overlap their round trips. The
+// strategies therefore differ only in lazy-vs-eager traversal and
+// lock-step across plans.
+//
+// Post scratch lives in a stack of frames, which makes Run re-entrant: a
+// Step or Absorb that starts a nested serial run (a Set falling into
+// inline eviction) takes frames of its own and returns them before the
+// outer stage resumes.
 type SerialRunner struct {
-	free [][]Result
+	free []*serialFrame
 }
+
+// serialFrame is the scratch of one in-flight group: its verbs gathered
+// per endpoint (first-use order, verb order within one), where each verb
+// landed, and its completions back in verb order.
+type serialFrame struct {
+	posts []rdma.EndpointBatch
+	at    []opAt
+	res   []Result
+}
+
+// opAt locates one verb of a group: posts[batch].Ops[op].
+type opAt struct{ batch, op int }
 
 // Run drives one plan to completion.
 func (r *SerialRunner) Run(p Plan) {
@@ -164,15 +186,47 @@ func (r *SerialRunner) Run(p Plan) {
 		if len(vs) == 0 {
 			return
 		}
-		var res []Result
+		var f *serialFrame
 		if n := len(r.free); n > 0 {
-			res, r.free = r.free[n-1][:0], r.free[:n-1]
+			f, r.free = r.free[n-1], r.free[:n-1]
+		} else {
+			//dittolint:allow hotalloc (free-list miss: one frame per nesting depth, amortized to zero at steady state)
+			f = new(serialFrame)
 		}
-		for _, v := range vs {
-			res = append(res, issueSync(v))
+		if len(vs) == 1 {
+			f.res = append(f.res[:0], issueSync(vs[0]))
+		} else {
+			r.post(f, vs)
 		}
-		p.Absorb(res)
-		r.free = append(r.free, res)
+		p.Absorb(f.res)
+		r.free = append(r.free, f)
+	}
+}
+
+// post rings one doorbell per endpoint for the group and leaves the
+// completions in f.res, Result[i] completing vs[i].
+func (r *SerialRunner) post(f *serialFrame, vs []Verb) {
+	f.posts, f.at = f.posts[:0], f.at[:0]
+	for _, v := range vs {
+		b := 0
+		for b < len(f.posts) && f.posts[b].EP != v.EP {
+			b++
+		}
+		if b == len(f.posts) {
+			if b < cap(f.posts) { // reuse the retired batch's op and result capacity
+				f.posts = f.posts[:b+1]
+				f.posts[b].EP, f.posts[b].Ops = v.EP, f.posts[b].Ops[:0]
+			} else {
+				f.posts = append(f.posts, rdma.EndpointBatch{EP: v.EP})
+			}
+		}
+		f.at = append(f.at, opAt{b, len(f.posts[b].Ops)})
+		f.posts[b].Ops = append(f.posts[b].Ops, v.Op)
+	}
+	rdma.PostMultiInPlace(f.posts)
+	f.res = f.res[:0]
+	for _, at := range f.at {
+		f.res = append(f.res, f.posts[at.batch].Res[at.op])
 	}
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"ditto/internal/rdma"
@@ -50,31 +51,111 @@ func cas(ep *rdma.Endpoint, addr, expect, swap uint64) Verb {
 	return Verb{EP: ep, Op: rdma.BatchOp{Kind: rdma.BatchCAS, Addr: addr, Expect: expect, Swap: swap}}
 }
 
-// TestSerialRunsPlanToCompletion checks the serial strategy issues one
-// synchronous verb per round trip in plan order and feeds groups back.
+// TestSerialRunsPlanToCompletion checks the serial strategy runs one
+// group per round trip in plan order and feeds groups back: a single-verb
+// group is the synchronous verb and rings no doorbell, a multi-verb group
+// rings exactly one — its verbs share a round trip, apply in verb order,
+// and complete in verb order.
 func TestSerialRunsPlanToCompletion(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := testNode(env)
+	rtt := n.Config().RTT
 	env.Go("c", func(p *sim.Proc) {
 		ep := rdma.NewEndpoint(n, p)
 		pl := &scriptPlan{stopAt: -1, groups: [][]Verb{
 			{write(ep, 0, []byte("hello"))},
 			{read(ep, 0, 5), read(ep, 0, 2)},
+			{cas(ep, 8, 0, 7), write(ep, 0, []byte("HE")), read(ep, 0, 5), cas(ep, 8, 7, 9)},
 		}}
-		new(Runner).Serial.Run(pl)
-		if len(pl.got) != 2 {
-			t.Fatalf("absorbed %d groups, want 2", len(pl.got))
+		var doorbells []int64
+		var took []int64
+		r := new(Runner)
+		r.Serial.Run(&observedPlan{Plan: pl, before: func() {
+			doorbells = append(doorbells, n.Stats.DoorbellBatches)
+			took = append(took, p.Now())
+		}})
+		if len(pl.got) != 3 {
+			t.Fatalf("absorbed %d groups, want 3", len(pl.got))
 		}
 		if !bytes.Equal(pl.got[1][0].Data, []byte("hello")) || !bytes.Equal(pl.got[1][1].Data, []byte("he")) {
 			t.Fatalf("reads returned %q, %q", pl.got[1][0].Data, pl.got[1][1].Data)
+		}
+		g := pl.got[2]
+		if len(g) != 4 || !g[0].Swapped || !bytes.Equal(g[2].Data, []byte("HEllo")) || !g[3].Swapped || g[3].Old != 7 {
+			t.Fatalf("mixed group completed out of verb order: %+v", g)
 		}
 		for _, e := range pl.eager {
 			if e {
 				t.Fatal("serial strategy asked for eager traversal")
 			}
 		}
-		if n.Stats.DoorbellBatches != 0 {
-			t.Fatalf("serial run posted %d doorbells", n.Stats.DoorbellBatches)
+		// doorbells[i] is the count before group i was stepped; the last
+		// Step (the empty one) sees the total.
+		if want := []int64{0, 0, 1, 2}; !slices.Equal(doorbells, want) {
+			t.Fatalf("doorbells before each step = %v, want %v (none for a lone verb, one per multi-verb group)", doorbells, want)
+		}
+		if n.Stats.BatchedVerbs != 6 {
+			t.Fatalf("doorbells carried %d verbs, want 6", n.Stats.BatchedVerbs)
+		}
+		for i := 1; i < len(took); i++ {
+			if d := took[i] - took[i-1]; d < rtt || d >= 2*rtt {
+				t.Fatalf("group %d took %d ns, want one round trip (RTT %d)", i-1, d, rtt)
+			}
+		}
+	})
+	env.Run()
+}
+
+// observedPlan calls before ahead of every Step of the wrapped plan.
+type observedPlan struct {
+	Plan
+	before func()
+}
+
+func (o *observedPlan) Step(eager bool) []Verb {
+	o.before()
+	return o.Plan.Step(eager)
+}
+
+// serialNestingPlan runs inner on the SAME serial runner from inside its
+// Absorb — the shape of a Set falling into inline eviction while its own
+// group's completions are still being consumed.
+type serialNestingPlan struct {
+	scriptPlan
+	r     *SerialRunner
+	inner Plan
+	seen  [][]byte // the outer group's READ data, checked AFTER the nested run
+}
+
+func (p *serialNestingPlan) Absorb(res []Result) {
+	p.r.Run(p.inner)
+	for _, r := range res {
+		p.seen = append(p.seen, append([]byte(nil), r.Data...))
+	}
+}
+
+// TestSerialReentrantRun checks a nested serial run posts from scratch of
+// its own: the outer multi-verb group's completions survive it.
+func TestSerialReentrantRun(t *testing.T) {
+	env := sim.NewEnv(9)
+	n := testNode(env)
+	env.Go("c", func(p *sim.Proc) {
+		ep := rdma.NewEndpoint(n, p)
+		copy(n.Mem()[0:], "outerinner")
+		var r Runner
+		inner := &scriptPlan{stopAt: -1, groups: [][]Verb{{read(ep, 5, 5), read(ep, 5, 2)}}}
+		outer := &serialNestingPlan{r: &r.Serial, inner: inner, scriptPlan: scriptPlan{
+			stopAt: -1, groups: [][]Verb{{read(ep, 0, 5), read(ep, 0, 3)}},
+		}}
+		r.Serial.Run(outer)
+		if len(inner.got) != 1 || !bytes.Equal(inner.got[0][0].Data, []byte("inner")) || !bytes.Equal(inner.got[0][1].Data, []byte("in")) {
+			t.Fatalf("nested run absorbed %v", inner.got)
+		}
+		if len(outer.seen) != 2 || !bytes.Equal(outer.seen[0], []byte("outer")) || !bytes.Equal(outer.seen[1], []byte("out")) {
+			t.Fatalf("outer group's completions clobbered by the nested run: %q", outer.seen)
+		}
+		if n.Stats.DoorbellBatches != 2 {
+			t.Fatalf("posted %d doorbells, want 2", n.Stats.DoorbellBatches)
 		}
 	})
 	env.Run()

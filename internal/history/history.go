@@ -14,6 +14,17 @@
 //     position in a logical ring, and an entry is expired once the counter
 //     has advanced more than the history capacity past it (lazy eviction —
 //     expired entries are simply reclaimed by later inserts).
+//
+// An ID is acquired BEFORE its eviction is known to happen: the FAA
+// depends on nothing the eviction learns, so the eviction plan posts it
+// beside its sample READ instead of paying a round trip for it between
+// nomination and the victim CAS. An attempt that then finds no candidate
+// or loses its CAS leaves its ID unused. That is sound because the queue
+// is only logical: nothing ever walks the IDs, an entry's age and expiry
+// are counter DISTANCE, and a skipped ID merely ages the entries before
+// it by one position — the capacity l bounds how many IDs an entry
+// survives, so the queue holds l entries less however many IDs were
+// skipped while they aged (about one in a hundred under churn).
 package history
 
 import (
@@ -55,24 +66,16 @@ func NewClient(ep *rdma.Endpoint, ht *hashtable.Handle, l int) *Client {
 // Capacity returns l.
 func (c *Client) Capacity() uint64 { return c.capacity }
 
-// NextID atomically fetches-and-increments the global history counter
-// (one RDMA_FAA) and returns the acquired history ID — the synchronous
-// issue of NextIDOp, absorbed by AbsorbID.
-func (c *Client) NextID() uint64 {
-	op := c.NextIDOp()
-	return c.AbsorbID(c.ep.FAA(op.Addr, op.Delta))
-}
-
-// NextIDOp returns the RDMA_FAA verb that acquires a history ID, for
-// callers that post it inside a doorbell batch instead of issuing it
-// synchronously (the eviction verb plan). Feed the completion's old
-// value to AbsorbID.
+// NextIDOp returns the RDMA_FAA verb that atomically fetches-and-
+// increments the global history counter, acquiring a history ID; the
+// eviction verb plan posts it beside its sample READ. Feed the
+// completion's old value to AbsorbID.
 func (c *Client) NextIDOp() rdma.BatchOp {
 	return rdma.BatchOp{Kind: rdma.BatchFAA, Addr: memnode.HistCounterAddr, Delta: 1}
 }
 
 // AbsorbID folds a NextIDOp completion (the FAA's old value) into the
-// client's cached counter, exactly as NextID would have, and returns the
+// client's cached counter — inserts refresh it for free — and returns the
 // acquired history ID.
 func (c *Client) AbsorbID(old uint64) uint64 {
 	v := old & counterMask
@@ -82,16 +85,17 @@ func (c *Client) AbsorbID(old uint64) uint64 {
 
 // EntryFor builds the history-entry atomic field that replaces a
 // victim's slot: same fingerprint, the history size sentinel, and the
-// acquired ID in the pointer bits — the swap value of Insert's CAS, for
-// plans that stage that CAS themselves.
+// acquired ID in the pointer bits — the swap value of the eviction plan's
+// victim CAS.
 func EntryFor(victim hashtable.Slot, id uint64) hashtable.AtomicField {
 	return hashtable.EncodeAtomic(victim.Atomic.FP(), hashtable.SizeHistory, id)
 }
 
-// FinishInsert applies the post-CAS effects of a history insert staged
-// by a plan (the CAS itself already won): the asynchronous expert-bitmap
-// WRITE and the insert count. Insert = NextIDOp/AbsorbID + the EntryFor
-// CAS + FinishInsert.
+// FinishInsert applies the post-CAS effects of a history insert (the
+// plan's EntryFor CAS already won): the asynchronous RDMA_WRITE of the
+// expert bitmap into the insert_ts field, and the insert count. A history
+// insert is NextIDOp/AbsorbID + the EntryFor CAS + FinishInsert: one
+// RDMA_FAA, one RDMA_CAS, one asynchronous RDMA_WRITE (§4.3.1).
 func (c *Client) FinishInsert(victimAddr uint64, expertBitmap uint64) {
 	c.ht.WriteExpertBitmap(victimAddr, expertBitmap)
 	c.Inserts++
@@ -124,22 +128,6 @@ func (c *Client) IsExpired(id uint64) bool {
 // the regret penalty discount d^t uses it as t.
 func (c *Client) Age(id uint64) uint64 {
 	return (c.cachedCounter - id) & counterMask
-}
-
-// Insert converts a victim's slot into a history entry: one RDMA_FAA for
-// the ID (in NextID), one RDMA_CAS on the atomic field, and an
-// asynchronous RDMA_WRITE of the expert bitmap into the insert_ts field.
-// It returns the history ID and whether the CAS won (a concurrent client
-// may have raced on the same victim). Insert IS the synchronous
-// composition of the plan-facing pieces (NextIDOp/AbsorbID + EntryFor +
-// FinishInsert), so the two execution shapes cannot drift apart.
-func (c *Client) Insert(victim hashtable.Slot, expertBitmap uint64) (uint64, bool) {
-	id := c.NextID()
-	if _, ok := c.ht.CASAtomic(victim.Addr, victim.Atomic, EntryFor(victim, id)); !ok {
-		return id, false
-	}
-	c.FinishInsert(victim.Addr, expertBitmap)
-	return id, true
 }
 
 // Match inspects a slot encountered during lookup and reports whether it

@@ -18,6 +18,24 @@ func setup(t *testing.T) (*sim.Env, *memnode.MemNode, hashtable.Layout) {
 	return env, mn, hashtable.Layout{Config: cfg, Base: base}
 }
 
+// nextID and insert compose the plan-facing pieces synchronously, in the
+// order the eviction plan issues them across its groups: the ID's FAA
+// (beside the sample READ), then the victim CAS, then the post-CAS
+// effects.
+func (c *Client) nextID() uint64 {
+	op := c.NextIDOp()
+	return c.AbsorbID(c.ep.FAA(op.Addr, op.Delta))
+}
+
+func (c *Client) insert(victim hashtable.Slot, expertBitmap uint64) (uint64, bool) {
+	id := c.nextID()
+	if _, ok := c.ht.CASAtomic(victim.Addr, victim.Atomic, EntryFor(victim, id)); !ok {
+		return id, false
+	}
+	c.FinishInsert(victim.Addr, expertBitmap)
+	return id, true
+}
+
 func TestNextIDMonotoneAcrossClients(t *testing.T) {
 	env, mn, lay := setup(t)
 	var ids []uint64
@@ -26,7 +44,7 @@ func TestNextIDMonotoneAcrossClients(t *testing.T) {
 			ep := rdma.NewEndpoint(mn.Node, p)
 			h := NewClient(ep, hashtable.NewHandle(lay, ep), 100)
 			for k := 0; k < 5; k++ {
-				ids = append(ids, h.NextID())
+				ids = append(ids, h.nextID())
 			}
 		})
 	}
@@ -48,9 +66,9 @@ func TestExpiryWindow(t *testing.T) {
 	env.Go("c", func(p *sim.Proc) {
 		ep := rdma.NewEndpoint(mn.Node, p)
 		h := NewClient(ep, hashtable.NewHandle(lay, ep), 10)
-		first := h.NextID()
+		first := h.nextID()
 		for i := 0; i < 10; i++ {
-			h.NextID()
+			h.nextID()
 		}
 		// Counter is now first+11; distance 11 > l=10 ⇒ expired.
 		if !h.IsExpired(first) {
@@ -77,13 +95,13 @@ func TestExpiryWrapAround(t *testing.T) {
 		}
 		// Advance the counter past the wrap.
 		for i := 0; i < 8; i++ {
-			h.NextID()
+			h.nextID()
 		}
 		// Counter wrapped to 5; distance to oldID = 10 ⇒ still valid.
 		if h.IsExpired(oldID) {
 			t.Errorf("entry exactly at capacity expired (counter=%d)", h.cachedCounter)
 		}
-		h.NextID()
+		h.nextID()
 		if !h.IsExpired(oldID) {
 			t.Error("entry past capacity across wrap not expired")
 		}
@@ -107,7 +125,7 @@ func TestInsertAndMatchRegret(t *testing.T) {
 		ht.WriteMetaOnInsert(slotAddr, kh, 1, 1, 1)
 
 		victim := ht.ReadSlot(slotAddr)
-		id, ok := h.Insert(victim, 0b10)
+		id, ok := h.insert(victim, 0b10)
 		if !ok {
 			t.Fatal("history insert failed")
 		}
@@ -149,7 +167,7 @@ func TestInsertLosesRace(t *testing.T) {
 		victim := ht.ReadSlot(slotAddr)
 		// Another client deletes the object before our CAS.
 		ht.CASAtomic(slotAddr, obj, 0)
-		if _, ok := h.Insert(victim, 1); ok {
+		if _, ok := h.insert(victim, 1); ok {
 			t.Fatal("insert should lose the race")
 		}
 	})
@@ -177,15 +195,15 @@ func TestReclaimable(t *testing.T) {
 		ht.CASAtomic(slotAddr, 0, a)
 		ht.WriteMetaOnInsert(slotAddr, kh, 1, 1, 1)
 		victim := ht.ReadSlot(slotAddr)
-		h.Insert(victim, 1)
+		h.insert(victim, 1)
 		fresh := ht.ReadSlot(slotAddr)
 		if h.Reclaimable(fresh) {
 			t.Error("fresh history entry reclaimable")
 		}
 		// Age it out: capacity is 2, so 3 more IDs expire it.
-		h.NextID()
-		h.NextID()
-		h.NextID()
+		h.nextID()
+		h.nextID()
+		h.nextID()
 		if !h.Reclaimable(fresh) {
 			t.Error("expired history entry not reclaimable")
 		}
@@ -194,7 +212,11 @@ func TestReclaimable(t *testing.T) {
 }
 
 func TestHistoryInsertVerbBudget(t *testing.T) {
-	// §4.3.1: inserting a history entry costs 1 FAA + 1 CAS + 1 async WRITE.
+	// §4.3.1: inserting a history entry costs 1 FAA + 1 CAS + 1 async
+	// WRITE. The FAA comes first and unconditionally (the eviction plan
+	// posts it beside its sample READ), so an attempt that loses its CAS
+	// has spent the FAA and nothing else: its ID is skipped, and the
+	// entries before it age by one position.
 	env, mn, lay := setup(t)
 	env.Go("c", func(p *sim.Proc) {
 		ep := rdma.NewEndpoint(mn.Node, p)
@@ -202,23 +224,53 @@ func TestHistoryInsertVerbBudget(t *testing.T) {
 		h := NewClient(ep, ht, 100)
 		kh := hashtable.KeyHash([]byte("v"))
 		slotAddr := lay.SlotAddr(2)
-		ht.CASAtomic(slotAddr, 0, hashtable.EncodeAtomic(hashtable.Fingerprint(kh), 4, 0x2000))
+		live := hashtable.EncodeAtomic(hashtable.Fingerprint(kh), 4, 0x2000)
+		ht.CASAtomic(slotAddr, 0, live)
 		victim := ht.ReadSlot(slotAddr)
 
-		s0 := mn.Node.Stats
-		h.Insert(victim, 1)
-		d := mn.Node.Stats
-		if faa := d.FAAs - s0.FAAs; faa != 1 {
-			t.Errorf("FAAs = %d, want 1", faa)
+		budget := func(what string, run func(), faa, cas, writes, async int64) {
+			t.Helper()
+			s0 := mn.Node.Stats
+			run()
+			d := mn.Node.Stats
+			for _, c := range []struct {
+				name      string
+				got, want int64
+			}{
+				{"FAAs", d.FAAs - s0.FAAs, faa},
+				{"CASes", d.CASes - s0.CASes, cas},
+				{"Writes", d.Writes - s0.Writes, writes},
+				{"async verbs", d.AsyncOps - s0.AsyncOps, async},
+				{"Reads", d.Reads - s0.Reads, 0},
+			} {
+				if c.got != c.want {
+					t.Errorf("%s: %s = %d, want %d", what, c.name, c.got, c.want)
+				}
+			}
 		}
-		if cas := d.CASes - s0.CASes; cas != 1 {
-			t.Errorf("CASes = %d, want 1", cas)
+
+		stale := victim
+		stale.Atomic = hashtable.EncodeAtomic(hashtable.Fingerprint(kh), 4, 0x4000)
+		var lostID uint64
+		budget("lost insert", func() {
+			var ok bool
+			if lostID, ok = h.insert(stale, 1); ok {
+				t.Fatal("insert over a stale snapshot won its CAS")
+			}
+		}, 1, 1, 0, 0)
+
+		var id uint64
+		budget("won insert", func() {
+			var ok bool
+			if id, ok = h.insert(victim, 1); !ok {
+				t.Fatal("history insert failed")
+			}
+		}, 1, 1, 1, 1)
+		if id != lostID+1 {
+			t.Errorf("won insert got ID %d after the lost attempt's %d, want the next one", id, lostID)
 		}
-		if w := d.Writes - s0.Writes; w != 1 {
-			t.Errorf("Writes = %d, want 1", w)
-		}
-		if r := d.Reads - s0.Reads; r != 0 {
-			t.Errorf("Reads = %d, want 0", r)
+		if h.Inserts != 1 {
+			t.Errorf("Inserts = %d, want 1 (the lost attempt created no entry)", h.Inserts)
 		}
 	})
 	env.Run()

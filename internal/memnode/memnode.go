@@ -427,19 +427,27 @@ func (mn *MemNode) handleFreeBlocks(payload []byte) []byte {
 	return []byte{1}
 }
 
-// handleAllocBlock serves one block of the requested size class from the
-// surrendered pool.
+// poolGrant bounds how many blocks one pool request is granted.
+const poolGrant = 8
+
+// handleAllocBlock serves blocks of the requested size class from the
+// surrendered pool: a count (1 B) and their addresses. One request takes
+// up to poolGrant blocks, so a writer fed by the pool — behind the
+// background reclaimer, or after a reshard surrendered a node's worth —
+// pays the controller once per grant, not once per block; and never more
+// than half of what the class holds (rounded up), so a thin pool still
+// serves the next writer. The reply to an empty pool keeps the
+// one-address shape.
 func (mn *MemNode) handleAllocBlock(payload []byte) []byte {
 	cl := int(binary.LittleEndian.Uint64(payload))
-	reply := make([]byte, 9)
 	lst := mn.blockPool[cl]
-	if len(lst) == 0 {
-		return reply // reply[0] == 0: pool empty for this class
+	n := min(poolGrant, (len(lst)+1)/2)
+	reply := make([]byte, 1+8*max(n, 1))
+	reply[0] = byte(n)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(reply[1+8*i:], lst[len(lst)-1-i])
 	}
-	addr := lst[len(lst)-1]
-	mn.blockPool[cl] = lst[:len(lst)-1]
-	reply[0] = 1
-	binary.LittleEndian.PutUint64(reply[1:], addr)
+	mn.blockPool[cl] = lst[:len(lst)-n]
 	return reply
 }
 
@@ -470,18 +478,23 @@ const segRetryInterval = 256
 // probes the controller's surrendered-block pool.
 const poolProbeInterval = 32
 
-// allocFromPool asks the controller for one surrendered block of the
-// given size class (one RPC).
+// allocFromPool asks the controller for surrendered blocks of the given
+// size class (one RPC): the first granted block is the allocation, the
+// rest park on the local free list.
 func (a *Alloc) allocFromPool(cl int) (uint64, bool) {
 	req := make([]byte, 8)
 	binary.LittleEndian.PutUint64(req, uint64(cl))
-	if blk := a.ep.RPC(OpAllocBlock, req); blk[0] == 1 {
-		a.mn.UsedBytes += cl
-		addr := binary.LittleEndian.Uint64(blk[1:])
-		a.mn.noteAlloc(addr, cl)
-		return addr, true
+	blk := a.ep.RPC(OpAllocBlock, req)
+	if blk[0] == 0 {
+		return 0, false
 	}
-	return 0, false
+	for i := 1; i < int(blk[0]); i++ {
+		a.free[cl] = append(a.free[cl], binary.LittleEndian.Uint64(blk[1+8*i:]))
+	}
+	a.mn.UsedBytes += cl
+	addr := binary.LittleEndian.Uint64(blk[1:])
+	a.mn.noteAlloc(addr, cl)
+	return addr, true
 }
 
 // NewAlloc creates a client allocator speaking to mn through ep.
@@ -490,8 +503,9 @@ func NewAlloc(mn *MemNode, ep *rdma.Endpoint) *Alloc {
 }
 
 // AllocFromPool allocates a block for size bytes straight from the
-// controller's surrendered-block pool (one RPC), bypassing the local
-// free lists and the segment backoff. Clients stalled behind the
+// controller's surrendered-block pool (one RPC; the rest of the grant
+// parks on the local free list), bypassing the local free lists and the
+// segment backoff. Clients stalled behind the
 // background reclaimer use it: the reclaimer frees victims onto its own
 // lists and surrenders them to the pool, so this is where reclaimed
 // space surfaces first.

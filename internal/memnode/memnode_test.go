@@ -260,6 +260,35 @@ func TestSurrenderedBlocksRecycled(t *testing.T) {
 		if !found {
 			t.Fatalf("recycled addr %d is not one of the surrendered blocks", addr)
 		}
+
+		// That one request was granted poolGrant blocks: the next ones come
+		// off the local free list, no RPC — and only the allocated count as
+		// used.
+		if a2.FreeBlocks() != poolGrant-1 {
+			t.Fatalf("%d blocks parked after one pool request, want %d", a2.FreeBlocks(), poolGrant-1)
+		}
+		rpcs := mn.Node.Stats.RPCs
+		for i := 1; i < poolGrant; i++ {
+			if _, ok := a2.Alloc(256); !ok {
+				t.Fatalf("alloc %d of the grant failed", i)
+			}
+		}
+		if mn.Node.Stats.RPCs != rpcs {
+			t.Errorf("%d RPCs for the rest of the grant, want none", mn.Node.Stats.RPCs-rpcs)
+		}
+		if mn.UsedBytes != poolGrant*256 {
+			t.Errorf("UsedBytes = %d after %d allocations of 256", mn.UsedBytes, poolGrant)
+		}
+
+		// A thin pool grants half of what it holds, rounded up: three
+		// blocks serve two more writers, 2 then 1.
+		mn.blockPool[256] = mn.blockPool[256][:3]
+		for _, want := range []int{1, 0} {
+			a := NewAlloc(mn, rdma.NewEndpoint(mn.Node, p))
+			if _, ok := a.AllocFromPool(256); !ok || a.FreeBlocks() != want {
+				t.Errorf("thin pool: ok=%v with %d parked, want %d", ok, a.FreeBlocks(), want)
+			}
+		}
 	})
 	env.Run()
 }
