@@ -86,32 +86,50 @@ func (pl *fakeSpecGetPlan) Absorb(res []int) {
 	_ = onStale
 }
 
-// fakeArmedSetPlan mirrors the store plan's prefetched eviction: while
-// the walk scans, Step appends the armed eviction's group behind the
-// walk's in the SAME retained slice, and Absorb hands each plan its share
-// of the completions by subslicing. The flagged forms are the ways that
-// composition would quietly allocate per Set into a full cache (the row
-// allocs_test pins at 0).
+// fakeArmedSetPlan mirrors the store plan's riders and its displacement:
+// while the walk scans — or READs the metadata of the occupants of two
+// full buckets — Step appends the armed eviction's group and the
+// allocator's one-verb supply probe behind the plan's own in the SAME
+// retained slice, and Absorb hands each its share of the completions by
+// subslicing; the displacement's candidates live in a retained slice
+// too. The flagged forms are the ways that composition would quietly
+// allocate per Set into a full cache (the row allocs_test pins at 0).
 type fakeArmedSetPlan struct {
-	verbs []verb
-	ev    *fakePlan
-	nWalk int
+	verbs  []verb
+	ev     *fakePlan
+	probe  bool
+	buf    []byte
+	nWalk  int
+	dcands []uint64
 }
 
 func (pl *fakeArmedSetPlan) Step(eager bool) []verb {
 	pl.verbs = append(pl.verbs[:0], verb{addr: 8}) // the walk's group: no finding
-	pl.nWalk = len(pl.verbs)
+	return pl.ride(pl.verbs, eager)
+}
+
+func (pl *fakeArmedSetPlan) ride(vs []verb, eager bool) []verb {
+	pl.nWalk = len(vs)
 	if pl.ev != nil {
-		pl.verbs = append(pl.verbs, pl.ev.Step(eager)...) // the eviction's rides behind it: no finding
+		vs = append(vs, pl.ev.Step(eager)...) // the eviction's rides behind it: no finding
+	}
+	if pl.probe {
+		pl.buf = growFixture(pl.buf, 8)
+		vs = append(vs, verb{addr: 56, data: pl.buf}) // the supply probe into a retained buffer: no finding
 	}
 
-	joined := append([]verb{}, pl.verbs...) // want `\[\]core\.verb literal in hot function Step allocates per call`
+	joined := append([]verb{}, vs...) // want `\[\]core\.verb literal in hot function ride allocates per call`
 	_ = joined
 
-	return pl.verbs
+	pl.verbs = vs
+	return vs
 }
 
 func (pl *fakeArmedSetPlan) Absorb(res []int) {
+	if pl.probe {
+		pl.probe = false
+		res = res[:len(res)-1] // the probe's completion comes off the end: no finding
+	}
 	if len(res) > pl.nWalk {
 		pl.ev.Absorb(res[pl.nWalk:]) // subslice hand-off: no finding
 		res = res[:pl.nWalk]
@@ -121,6 +139,18 @@ func (pl *fakeArmedSetPlan) Absorb(res []int) {
 	copy(mine, res)
 
 	pl.ev = &fakePlan{} // want `&core\.fakePlan literal in hot function Absorb heap-allocates per call`
+}
+
+// finishScan collects the displacement's candidates over the slots the
+// walk already decoded, into the plan's retained slice.
+func (pl *fakeArmedSetPlan) finishScan(slots []uint64) {
+	pl.dcands = pl.dcands[:0]
+	for _, s := range slots {
+		pl.dcands = append(pl.dcands, s) // retained scratch: no finding
+	}
+
+	cands := make([]uint64, 0, len(slots)) // want `make in hot function finishScan allocates per call`
+	_ = cands
 }
 
 // growFixture is the free-function grow idiom: allocation lives outside

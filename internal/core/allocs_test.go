@@ -115,8 +115,10 @@ func TestAllocsPerOpSteadyState(t *testing.T) {
 // fullCacheSetAllocs holds the Set into a full adaptive cache — every
 // cache-aside fill of a churning workload — to the clean Set's ceiling:
 // the prefetched eviction's plan comes from the client's pool, its groups
-// ride the store plan's verb scratch, and the multi-verb groups post from
-// the serial runner's frames.
+// — and the allocator's supply probe, six of which fall in the measured
+// loop — ride the store plan's verb scratch, the occupant a Set into full
+// buckets displaces is picked from the plan's own candidate scratch, and
+// the multi-verb groups post from the serial runner's frames.
 func fullCacheSetAllocs(t *testing.T) {
 	env := sim.NewEnv(16)
 	cl := NewCluster(env, DefaultOptions(1000, 1000*320))
@@ -129,7 +131,7 @@ func fullCacheSetAllocs(t *testing.T) {
 			keys[i] = key(first + i)
 		}
 		val, next := big(0), 0
-		for ; next < warm; next++ { // past a whole allocator back-off period
+		for ; next < warm; next++ { // past many probe intervals, and some displacements
 			c.Set(keys[next], val)
 		}
 		before := c.Stats

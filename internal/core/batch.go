@@ -16,11 +16,11 @@ package core
 //
 // Races are resolved by the same plans as in the serial paths, and a
 // complication costs rounds the whole batch shares, never per-key round
-// trips: a rejected speculative image continues into the walk and a lost
-// publishing CAS chases the winner's image inside the plan and its Run
-// (plan.go); what a pass leaves unsettled — a stale snapshot, full
-// buckets (after makeRoom), a CAS lost to something that is not the key —
-// is re-run together as the next pass, in key/pair order, under the
+// trips: a rejected speculative image continues into the walk, a lost
+// publishing CAS chases the winner's image and an insert into full buckets
+// displaces an occupant inside the plan and its Run (plan.go); what a pass
+// leaves unsettled — a stale snapshot, a CAS lost to something that is not
+// the key — is re-run together as the next pass, in key/pair order, under the
 // serial drivers' own bounds (getRetries, storeAttempts) and behind one
 // back-off draw per pass. Batched and serial operations stay observably
 // equivalent. Every key reports the BATCH's elapsed time as its latency:
@@ -121,9 +121,9 @@ func (c *Client) mget(keys [][]byte, idxs []int, vals [][]byte, oks []bool, prob
 // update-in-place when the key's current copy is found, else an insert
 // into the first reclaimable slot, preferring the main bucket, chasing a
 // lost publish CAS inside the batch's own rounds — and the pairs an
-// attempt could not settle (buckets full, a chase that met another key)
-// are re-run together, so batched and serial stores behave identically
-// under contention.
+// attempt could not settle (a chase that met another key, a displaced
+// occupant a rival took first) are re-run together, so batched and serial
+// stores behave identically under contention.
 func (c *Client) MSet(pairs []KV) { c.mset(pairs, c.allIdx(len(pairs)), exec.Doorbell) }
 
 // mset stores pairs[i] for every i in idxs.

@@ -499,6 +499,55 @@ func TestMSetDoorbellBudget(t *testing.T) {
 	})
 }
 
+// TestMSetIntoFullBucketsStaysInTheDoorbell: a batch whose every pair
+// finds both of its buckets full displaces inside its plans — the pass
+// issues no synchronous verb (the driver-level bucket eviction it replaces
+// ran a CAS, and per-candidate READs, one round trip at a time), the pairs
+// that picked the same occupant settle in later passes, and the heap
+// stays exact. Tenant mode adds the candidates' header
+// READs, as one more doorbell.
+func TestMSetIntoFullBucketsStaysInTheDoorbell(t *testing.T) {
+	for _, tenants := range []bool{false, true} {
+		env := sim.NewEnv(21)
+		cl := NewCluster(env, DefaultOptions(8, 1<<20)) // 4 buckets, a roomy heap
+		cl.MN.EnableFreeTracking()
+		if tenants {
+			cl.SetTenantQuota(1, 1<<40)
+		}
+		env.Go("c", func(p *sim.Proc) {
+			c := cl.NewClient(p)
+			c.BindTenant(1)
+			for i := 0; c.Stats.BucketEvictions == 0; i++ { // until the table is full
+				c.Set(key(i), value(i))
+			}
+			pairs := make([]KV, 16)
+			for i := range pairs {
+				pairs[i] = KV{Key: key(1000 + i), Value: value(i)}
+			}
+			st, s0 := c.Stats, cl.MN.Node.Stats
+			c.MSet(pairs)
+			s1 := cl.MN.Node.Stats
+			if d := c.Stats.BucketEvictions - st.BucketEvictions; d < 8 {
+				t.Fatalf("tenants=%v: only %d of 16 pairs displaced an occupant", tenants, d)
+			}
+			if n := syncVerbs(s0, s1); n != 0 {
+				t.Errorf("tenants=%v: MSet into full buckets issued %d synchronous verbs, want 0", tenants, n)
+			}
+			// A pair a later one displaced is gone; one that is there holds
+			// its value.
+			for i, kv := range pairs {
+				if v, ok := c.Get(kv.Key); ok && !bytes.Equal(v, kv.Value) {
+					t.Errorf("tenants=%v: pair %d reads back another value", tenants, i)
+				}
+			}
+			if pub := publishedBytes(c); pub != cl.MN.UsedBytes {
+				t.Errorf("tenants=%v: heap holds %d live bytes, the table publishes %d", tenants, cl.MN.UsedBytes, pub)
+			}
+		})
+		env.Run()
+	}
+}
+
 // TestMGetStaleHintDoorbellBudget pins what a rejected hint costs a
 // batch: ONE shared round. Eight hinted keys, four of the hints stale:
 // the hinted READs are the first doorbell, the rejected keys' bucket

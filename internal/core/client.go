@@ -142,8 +142,7 @@ type Client struct {
 	// Plan pools and in-flight batch scratch (see pool.go). runOps
 	// carries one M-operation's plans; runEv the eviction batches —
 	// separate because inline eviction can fire while an M-operation's
-	// doorbell round is mid-absorb. bktCands is bucketEvict's own
-	// candidate scratch for the same reason.
+	// doorbell round is mid-absorb.
 	gets     planPool[getPlan]
 	sets     planPool[setPlan]
 	dels     planPool[delPlan]
@@ -156,7 +155,6 @@ type Client struct {
 	runEv    []exec.Plan
 	idxAll   []int // the identity index list [0, n) (allIdx)
 	retryIdx []int // the keys/pairs an M-operation's next pass re-runs
-	bktCands []candidate
 
 	// Location cache behind one-RTT speculative Gets (nil unless
 	// Options.LocCacheSlots > 0; see internal/loccache). verBase/verSeq
@@ -559,11 +557,11 @@ const storeAttempts = 4096
 // and puts it back.
 //
 // counted selects the client-operation flavour (settle), whose retries
-// also back off briefly first — hot keys attract concurrent out-of-place
-// updates, and the CAS loser sleeps like the paper's lock back-off so
-// contenders don't stay lock-stepped. Uncounted stores are maintenance
-// (replica copies): their writers are serialized by the hot-key entry
-// lock, so there is no lock-step to break.
+// — every one a lost publishing CAS — also back off briefly first: hot
+// keys attract concurrent out-of-place updates, and the CAS loser sleeps
+// like the paper's lock back-off so contenders don't stay lock-stepped.
+// Uncounted stores are maintenance (replica copies): their writers are
+// serialized by the hot-key entry lock, so there is no lock-step to break.
 func (c *Client) store(key, value []byte, pl *setPlan, counted bool, start int64) bool {
 	for attempt := 0; attempt < storeAttempts; attempt++ {
 		if pl == nil {
@@ -589,46 +587,37 @@ func (c *Client) store(key, value []byte, pl *setPlan, counted bool, start int64
 // allocator has none — the pool is full — prefetches the eviction with a
 // pooled evictPlan instead (setPlan, plan.go): dryness is known up front,
 // so the eviction's sample rides the bucket READ's round trip instead of
-// following the walk. Alloc itself answers, so its back-off, pool-probe
-// and segment-retry cadence — how a client in a full cache finds grown
-// memory — is kept in one place. Never beside a background reclaimer:
-// making room is its job, and the write's the bounded stall in
-// allocOrEvict.
+// following the walk. The allocator itself answers, so its supply-probe
+// cadence — how a client in a full cache finds grown memory — is kept in
+// one place; a probe that falls due is the plan's to post, beside the
+// same bucket READ. Never beside a background reclaimer: making room is
+// its job, and the write's the bounded stall in allocOrEvict.
 func (c *Client) arm(pl *setPlan) {
 	if c.cl.reclaimEnabled {
 		return
 	}
-	if pl.addr, pl.held = c.alloc.Alloc(pl.size); !pl.held {
+	if pl.addr, pl.held, pl.probe = c.alloc.TryAlloc(pl.size); !pl.held {
 		pl.ev = c.evs.get().reset(c)
 	}
 }
 
-// disarm takes back what arm gave a finished attempt: a block it never
-// staged (the walk ended setNoFree) goes back on the free list; its
-// eviction is counted as a resample when it was one (evictBatch's
-// convention) and put back whatever state the plan left it in — won,
-// lost, or dropped between groups, where it owns nothing.
+// disarm takes back a finished attempt's eviction: counted as a resample
+// when it was one (evictBatch's convention) and put back whatever state
+// the plan left it in — won, lost, or dropped between groups.
 func (c *Client) disarm(pl *setPlan) {
-	if pl.held {
-		c.alloc.Free(pl.addr, pl.size)
-		pl.held = false
-	}
-	ev := pl.ev
-	if ev == nil {
+	if pl.ev == nil {
 		return
 	}
-	if ev.resample() {
+	if pl.ev.resample() {
 		c.Stats.EvictResamples++
 	}
-	c.evs.put(ev)
+	c.evs.put(pl.ev)
 	pl.ev = nil
 }
 
 // settle consumes one finished store attempt, shared by the serial
-// driver and mset's passes, and reports whether the pair is stored. A
-// setNoFree attempt gets room made in the key's buckets (makeRoom,
-// evict.go — it views the plan's pooled slots, so before the put); a
-// setCASLost one just needs a fresh snapshot; the caller re-runs either.
+// driver and mset's passes, and reports whether the pair is stored; one
+// that is not lost its publishing CAS, and the caller re-runs it.
 //
 // counted is the client-operation flavour: the attempt's chases and its
 // re-run count in Stats.SetRetries, and completion records the location
@@ -638,20 +627,17 @@ func (c *Client) settle(pl *setPlan, counted bool, start int64) bool {
 	if counted {
 		c.Stats.SetRetries += int64(pl.chases)
 	}
-	switch pl.outcome {
-	case setDone:
+	if pl.outcome != setDone {
 		if counted {
-			c.noteSetLocation(pl)
-			c.report(OpSet, start, true)
+			c.Stats.SetRetries++
 		}
-		return true
-	case setNoFree:
-		c.makeRoom(pl.slots)
+		return false
 	}
 	if counted {
-		c.Stats.SetRetries++
+		c.noteSetLocation(pl)
+		c.report(OpSet, start, true)
 	}
-	return false
+	return true
 }
 
 // backOff sleeps the random ≤2 µs a counted store waits before re-running
@@ -676,18 +662,22 @@ const (
 // behind a background reclaimer, a prefetched attempt that freed nothing.
 //
 // With a background reclaimer enabled (Cluster.EnableBackgroundReclaim)
-// the inline eviction is the LAST resort: a successful allocation that
-// dipped below the low watermark kicks the reclaimer ahead of demand,
-// and a failed one stalls in bounded ticks — polling the local allocator
-// and the controller pool the reclaimer surrenders freed blocks into —
-// so the write's latency is the reclaimer's catch-up time, not the full
-// eviction verb chain. WriteStallNs accumulates everything a write
+// the inline eviction is the LAST resort: a successful allocation posts
+// the next pool grant ahead of need when it took the last local block
+// (Alloc.PrefetchGrant) and kicks the reclaimer ahead of demand when it
+// dipped below the low watermark; a failed one stalls in bounded ticks —
+// polling the local allocator and the controller pool the reclaimer
+// surrenders freed blocks into — so the write's latency is the
+// reclaimer's catch-up time, not the full eviction verb chain. WriteStallNs accumulates everything a write
 // waited beyond a clean allocation (reclaimer ticks AND inline eviction
 // verbs — the "eviction-stall time" the churn bench reports);
 // WriteStallTicks counts only the reclaimer stall rounds.
 func (c *Client) allocOrEvict(size int) uint64 {
 	addr, ok := c.alloc.Alloc(size)
 	if ok {
+		if c.cl.reclaimEnabled {
+			c.alloc.PrefetchGrant(size)
+		}
 		c.cl.maybeKickReclaim()
 		return addr
 	}
@@ -695,9 +685,8 @@ func (c *Client) allocOrEvict(size int) uint64 {
 	defer func() { c.Stats.WriteStallNs += c.p.Now() - start }()
 	if c.cl.reclaimEnabled {
 		c.cl.kickReclaimer()
-		// Blocks the reclaimer surrendered earlier may already sit in the
-		// controller pool (the local allocator only probes it on its
-		// backoff intervals): check before paying the first stall tick.
+		// Earlier surrenders may already sit in the pool (the local allocator
+		// re-asks only once a supply probe saw it refilled): check first.
 		if addr, ok = c.alloc.AllocFromPool(size); ok {
 			return addr
 		}

@@ -305,9 +305,13 @@ func (cl *Cluster) ShrinkCache(bytes int) {
 
 // ------------------------------------------------------ Background reclaim ----
 
-// reclaimBatchMax bounds how many victims one reclaimer round attempts
-// (one doorbell batch of evict plans under exec.Doorbell).
-const reclaimBatchMax = 16
+// reclaimBatchMin and reclaimBatchMax bound the victims one reclaimer
+// round attempts (one doorbell batch of evict plans under exec.Doorbell).
+// Between them a round is sized by the reclaimer's lag under the low
+// watermark (memnode.ReclaimLag), not by the distance to the high one:
+// that band alone is worth more than the maximum, which made every round
+// a maximal burst queued on the RNIC in front of the foreground's verbs.
+const reclaimBatchMin, reclaimBatchMax = 4, 16
 
 // EnableBackgroundReclaim starts this cluster's proactive reclaimer: a
 // background sim process that watches the allocator's free-space
@@ -376,10 +380,7 @@ func (cl *Cluster) spawnReclaimer() {
 			}
 			rc.Stats.ReclaimerWakeups++
 			for cl.MN.BelowHighWater() {
-				n := cl.victimsFor(cl.MN.ReclaimTarget() - cl.MN.FreeBytes())
-				if n > reclaimBatchMax {
-					n = reclaimBatchMax
-				}
+				n := min(max(cl.victimsFor(cl.MN.ReclaimLag()), reclaimBatchMin), reclaimBatchMax)
 				got := rc.evictBatch(n, cl.Strategy)
 				// Freed blocks land on the reclaimer's own lists; surrender
 				// them immediately so stalled writers can fetch them from

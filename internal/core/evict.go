@@ -116,7 +116,7 @@ func (c *Client) drainOverBudget(max int) {
 // liveCandidate filters one sampled slot down to an eviction candidate
 // with the default metadata view attached — the one definition of the
 // slot filter and the metadata/frequency convention, shared by the
-// serial bucket-eviction path and the evictPlan's sample stage.
+// evictPlan's sample stage and the setPlan's displacement.
 func (c *Client) liveCandidate(s hashtable.Slot) (candidate, bool) {
 	if s.Atomic.IsEmpty() || s.Atomic.IsHistory() {
 		return candidate{}, false
@@ -171,7 +171,8 @@ func (c *Client) applyExt(cand *candidate, data []byte) {
 }
 
 // tenantVictims is THE tenant victim filter, shared by the sampled
-// eviction (evictPlan.nominate) and the bucket eviction: lease expiry
+// eviction (evictPlan.nominate) and the displacement out of two full
+// buckets (setPlan.pickVictim): lease expiry
 // first — a lapsed entry is dead weight no policy should out-rank, so
 // the index of the first candidate whose lease expired by now is
 // returned (else -1) — then quota enforcement: while any tenant is over
@@ -214,7 +215,8 @@ func (c *Client) lowestPriority(e int, cands []candidate, now int64) (best int, 
 }
 
 // settleVictim applies the local effects of a claimed eviction victim
-// (its CAS won): the block's release, the victim-size estimate, the
+// (its CAS won — the sampled eviction's own, or the publishing CAS that
+// displaced it): the block's release, the victim-size estimate, the
 // counter, and the hot-key hook that lets the replication layer demote
 // an entry whose primary copy was just evicted.
 func (c *Client) settleVictim(v candidate) {
@@ -223,98 +225,6 @@ func (c *Client) settleVictim(v candidate) {
 	c.Stats.Evictions++
 	if c.cl.onEvictHash != nil {
 		c.cl.onEvictHash(v.slot.Hash)
-	}
-}
-
-// makeRoom frees a slot in the key's own buckets when a setPlan finished
-// setNoFree — both full of live objects and valid history entries
-// (slots: everything the plan's walk read). It evicts from the buckets
-// directly (bucketEvict); if they hold no live object at all (all
-// history), or the victim CAS lost, it sacrifices the history entry
-// closest to expiry instead. The caller then retries with a freed slot.
-func (c *Client) makeRoom(slots []hashtable.Slot) {
-	if !c.bucketEvict(slots) {
-		c.reclaimOldestHistory(slots)
-	}
-}
-
-// bucketEvict deletes the deciding expert's lowest-priority live object
-// among slots outright: slot reclaimed immediately, no history entry for
-// this corner case, only the deciding expert ranks and earns the eviction
-// credit. Rare by construction (the table is oversized), counted in
-// Stats.BucketEvictions.
-func (c *Client) bucketEvict(slots []hashtable.Slot) bool {
-	// With the sample-friendly hash table all default metadata arrived
-	// with the bucket READs; extension metadata (or, under the DisableSFHT
-	// ablation, all metadata) costs one more READ per candidate. The
-	// scratch is the bucket eviction's own: inline eviction (evPlans) can
-	// nest inside a setPlan stage, bucket eviction cannot.
-	cands := c.bktCands[:0]
-	for _, s := range slots {
-		cand, ok := c.liveCandidate(s)
-		if !ok {
-			continue
-		}
-		if c.needsExtRead() {
-			c.applyExt(&cand, c.issueRead(c.extReadOp(s)))
-		}
-		cands = append(cands, cand)
-	}
-	c.bktCands = cands
-	if len(cands) == 0 {
-		return false
-	}
-	if c.cl.tenantMode {
-		// Bucket pressure must not evict an in-quota tenant's key while an
-		// over-quota tenant occupies the same bucket; with no over-quota
-		// candidate here the global policy runs (there is no resampling a
-		// key's own buckets). An expired lease goes first and blames no
-		// expert — reclaiming a dead lease is Delete-equivalent.
-		exp, over := tenantVictims(cands, c.p.Now(), c.cl.overQuotaMask())
-		if exp >= 0 {
-			return c.takeBucketVictim(cands[exp], nil, 0)
-		}
-		if len(over) > 0 {
-			cands = over
-		}
-	}
-	deciding := 0
-	if c.adapt != nil {
-		deciding = c.adapt.PickExpert(c.p.Rand())
-	}
-	best, bestP := c.lowestPriority(deciding, cands, c.p.Now())
-	return c.takeBucketVictim(cands[best], c.experts[deciding], bestP)
-}
-
-// takeBucketVictim claims one bucket-eviction victim: CAS the slot
-// empty, then settle. blamed is nil for an expired-lease victim.
-func (c *Client) takeBucketVictim(victim candidate, blamed cachealgo.Algorithm, p float64) bool {
-	if _, won := c.ht.CASAtomic(victim.slot.Addr, victim.slot.Atomic, 0); !won {
-		return false
-	}
-	if obs, ok := blamed.(cachealgo.EvictionObserver); ok {
-		obs.OnEvict(p)
-	}
-	c.settleVictim(victim)
-	c.Stats.BucketEvictions++
-	return true
-}
-
-// reclaimOldestHistory frees the bucket-local history entry closest to
-// expiry, shortening the logical FIFO for those entries only.
-func (c *Client) reclaimOldestHistory(slots []hashtable.Slot) {
-	best := -1
-	var bestAge uint64
-	for i, s := range slots {
-		if !s.Atomic.IsHistory() {
-			continue
-		}
-		if age := c.hist.Age(s.Atomic.Pointer()); best < 0 || age > bestAge {
-			best, bestAge = i, age
-		}
-	}
-	if best >= 0 {
-		c.ht.CASAtomic(slots[best].Addr, slots[best].Atomic, 0)
 	}
 }
 

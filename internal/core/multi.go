@@ -708,7 +708,7 @@ func (mc *MultiCluster) migrateNode(m *MultiClient, srcID int, inserts *[]migrat
 				case migSkipped:
 					// Destination already newer; source copy GC'd in-plan.
 				default:
-					// Complication (full bucket, lost CAS, source changed):
+					// Complication (lost CAS, source changed):
 					// demote this slot to the serial retry path, which
 					// re-reads and redoes the copy from a fresh snapshot.
 					pending += mc.migrateSlot(src, m.clientFor(it.owner), it.owner, it.s, it.dec, inserts)
@@ -759,12 +759,8 @@ func (mc *MultiCluster) migrateSlot(src, dst *Client, dstID int, s hashtable.Slo
 			// and must not inflate the stat.
 			return 0
 		case migFallback:
-			// Destination complication. For full buckets, make room the
-			// way a blocked insert would; for a lost publish CAS, simply
-			// re-attempt with a fresh snapshot (presence is re-checked).
-			if pl.ins.outcome == setNoFree {
-				dst.makeRoom(pl.ins.slots)
-			}
+			// The destination's publish CAS lost a race: re-attempt with a
+			// fresh snapshot (presence is re-checked).
 		case migRetry:
 			// The source slot changed while we copied it (the plan already
 			// took back any stale insert). Re-read the slot: if it still

@@ -5,9 +5,10 @@ package core
 //
 //	Get:     [ONE hinted object READ, validated in place →]
 //	         key walk                                       → hit/miss/stale
-//	Set:     key walk → classify → object WRITE + publish
-//	         CAS [→ lost to the key's newer image: READ it
-//	         → (WRITE +) CAS again]                         → done/noFree/casLost
+//	Set:     key walk → classify [full buckets: pick an
+//	         occupant to displace] → WRITE + publish CAS
+//	         [→ lost to the key's newer image: READ it →
+//	         (WRITE +) CAS again]                           → done/casLost
 //	Migrate: Set in insert-if-absent mode (absence verified
 //	         in BOTH buckets, metadata carried over, post-
 //	         publish duplicate sweep = a second key walk
@@ -30,13 +31,13 @@ package core
 // nothing the plan has yet to learn share a group (an object WRITE and
 // its publishing CAS, an eviction's sample READs and its history-ID FAA),
 // and a group is one round trip: a plan costs its dependency levels, not
-// its verbs. A complication a plan can resolve from what
-// its verbs returned stays inside it (a rejected hint continues into the
-// walk, a CAS lost to a newer image of the key chases it); the rest
-// (stale snapshot, full bucket, a CAS lost to anything else) finish the
-// plan with that outcome, and its driver re-runs the key — serially for
-// a lone operation, together with the batch's other unsettled keys under
-// Doorbell.
+// its verbs. A complication a plan can resolve from what its verbs
+// returned stays inside it (a rejected hint continues into the walk, a
+// CAS lost to a newer image of the key chases it, an insert into two full
+// buckets displaces an occupant with its publishing CAS); the rest (stale
+// snapshot, a CAS lost to anything else) finish the plan with that
+// outcome, and its driver re-runs the key — serially for a lone operation,
+// together with the batch's other unsettled keys under Doorbell.
 //
 // Metadata maintenance stays off the critical path: plans issue only the
 // synchronous critical-path verbs; frequency FAAs (via the FC cache),
@@ -163,6 +164,16 @@ func (c *Client) readObjects(slots []hashtable.Slot) [][]byte {
 		out[i] = res[i].Data
 	}
 	return out
+}
+
+// extVerbs appends every candidate's metadata READ (extReadOp), delivered
+// into bufs, to vs. Nomination needs them all, so no READ can short-circuit
+// another: they are one group under either traversal.
+func (c *Client) extVerbs(vs []exec.Verb, cands []candidate, bufs *[][]byte) []exec.Verb {
+	for i := range cands {
+		vs = append(vs, c.readVerb(c.extReadOp(cands[i].slot), bufAt(bufs, i)))
+	}
+	return vs
 }
 
 // stageEnd returns the exclusive end of one stage's next verb group:
@@ -423,12 +434,13 @@ func (pl *getPlan) validHint(img []byte) (decodedObject, bool) {
 
 // setPlan states.
 const (
-	sScan  = iota // the key walk (an armed eviction's groups ride beside it)
-	sEvict        // walk classified, armed eviction still in flight: its remaining groups
-	sWrite        // object WRITE and publishing CAS, one group
-	sCAS          // publishing CAS alone (a chase left the staged image as written)
-	sChase        // READ of the image that beat our CAS to the slot
-	sSweep        // migrate mode: post-publish duplicate sweep (second walk)
+	sScan     = iota // the key walk (an armed eviction's groups ride beside it)
+	sDisplace        // both buckets full, victim needs per-candidate metadata: the ext READs, one group
+	sEvict           // walk classified, armed eviction still in flight: its remaining groups
+	sWrite           // object WRITE and publishing CAS, one group
+	sCAS             // publishing CAS alone (a chase left the staged image as written)
+	sChase           // READ of the image that beat our CAS to the slot
+	sSweep           // migrate mode: post-publish duplicate sweep (second walk)
 	sDone
 )
 
@@ -443,7 +455,6 @@ const setChases = 64
 const (
 	setPending = iota
 	setDone    // published; migrate mode: insert survived the sweep
-	setNoFree  // both buckets full of live objects and valid history
 	setCASLost // publish CAS lost a race; staged object freed
 	setPresent // migrate mode: key already present, or our copy yielded
 )
@@ -477,10 +488,22 @@ const (
 // whatever the eviction still has in flight, so the victim's block is on
 // the free list when it allocates. An attempt that samples nothing or
 // loses its victim CAS leaves stage to allocOrEvict's inline loop, as an
-// unarmed plan; a walk that ends without staging (setNoFree) drops the
-// attempt between groups, where it owns nothing. Batch drivers never arm:
-// a batch's own updates free blocks mid-batch, so prefetching one victim
-// per pair would over-evict.
+// unarmed plan. Batch drivers never arm: a batch's own updates free blocks
+// mid-batch, so prefetching one victim per pair would over-evict. When the
+// dry allocator's cadence calls for a supply probe (memnode.Alloc), that
+// 8-byte READ rides the first group too.
+//
+// Two FULL buckets (live objects and valid history entries only: one
+// insert in eleven at the table's 80 % load) do not end the attempt
+// either: the plan DISPLACES an occupant. Over the slots the walk decoded
+// it picks the deciding expert's lowest-priority live object (under
+// tenancy an expired lease, then over-quota tenants, first), or with none
+// live the history entry closest to expiry, as the insert's slot: the
+// publishing CAS expects the occupant's atomic, so ONE verb evicts and
+// publishes, a rival that took the occupant first is an ordinary lost CAS,
+// and a won one settles the victim (no history entry for this corner; only
+// the deciding expert is credited). Metadata kept with the objects
+// (needsExtRead) is READ first, in sDisplace, all of it as one group.
 //
 // A publish CAS that loses returns the slot's current atomic. When that
 // is a live object carrying the key's fingerprint — the usual loss: a
@@ -530,15 +553,16 @@ type setPlan struct {
 	lastEager bool // traversal mode of the in-flight group
 	doneBkt   int  // first bucket whose post-candidate logic hasn't run
 
-	// What the store driver armed the attempt with (Client.arm; it takes
-	// both back): the block in addr when held, else — the allocator had
-	// none — the eviction to prefetch (nil: unarmed). Then how many of the
-	// in-flight sScan group's verbs are the walk's (the eviction's
-	// follow), and when the in-flight sEvict group was emitted — a round
-	// that exists only because the write had to evict, so its time is
-	// Stats.WriteStallNs.
+	// What the store driver armed the attempt with (Client.arm): the block
+	// in addr when held, else — the allocator had none — the eviction to
+	// prefetch (nil: unarmed; disarm takes it back) and whether the first
+	// group carries the supply probe. Then how many of the in-flight
+	// sScan/sDisplace group's verbs are the plan's own (theirs follow), and
+	// when the in-flight sEvict group was emitted — a round that exists
+	// only because the write had to evict: Stats.WriteStallNs.
 	held      bool
 	ev        *evictPlan
+	probe     bool
 	nWalk     int
 	stallFrom int64
 
@@ -547,6 +571,15 @@ type setPlan struct {
 	updDec  decodedObject
 	insSlot hashtable.Slot
 	haveIns bool
+
+	// Displacement: the live candidates among the walk's slots, the one
+	// insSlot displaces when evicting, and the expert credited with it
+	// (nil: an expired lease blames nobody) at which priority.
+	dcands   []candidate
+	victim   candidate
+	evicting bool
+	blamed   cachealgo.Algorithm
+	blameP   float64
 
 	now  int64
 	addr uint64
@@ -561,7 +594,8 @@ type setPlan struct {
 	// Pooled scratch, kept across reset: the extension/object-image build
 	// buffers (extBuf backs the ext passed to stage; data backs the
 	// staged WRITE and is retained until the publishing CAS) and the chase
-	// READ's delivery buffer (updDec views it after a chase).
+	// READ's delivery buffer (updDec views it after a chase; the supply
+	// probe, long absorbed by then, borrows it).
 	extBuf   []byte
 	chaseBuf []byte
 }
@@ -578,7 +612,7 @@ func (pl *setPlan) reset(c *Client, key, value []byte) *setPlan {
 	pl.rnow = c.p.Now()
 	pl.expUpd = false
 	pl.st, pl.lastEager, pl.doneBkt = sScan, false, 0
-	pl.held, pl.ev = false, nil
+	pl.held, pl.ev, pl.probe, pl.evicting = false, nil, false, false
 	pl.mode = pUpdate
 	pl.updSlot, pl.insSlot = hashtable.Slot{}, hashtable.Slot{}
 	pl.updDec = decodedObject{}
@@ -601,11 +635,9 @@ func (pl *setPlan) Step(eager bool) []exec.Verb {
 				pl.finishScan()
 				continue
 			}
-			pl.nWalk = len(vs)
-			if pl.ev != nil {
-				pl.verbs = append(vs, pl.ev.Step(eager)...)
-			}
-			return pl.verbs
+			return pl.ride(vs, eager)
+		case sDisplace: // into the object buffers the walk is done with
+			return pl.ride(pl.c.extVerbs(pl.verbs[:0], pl.dcands, &pl.objBufs), eager)
 		case sEvict:
 			if vs := pl.ev.Step(eager); len(vs) > 0 {
 				pl.stallFrom = pl.c.p.Now()
@@ -638,6 +670,34 @@ func (pl *setPlan) Step(eager bool) []exec.Verb {
 	}
 }
 
+// ride appends to the plan's own group vs what the driver armed the
+// attempt with (the eviction's next group; once, the supply probe) and
+// unride hands their completions back — the eviction's first: what the
+// plan decides next (stage) depends on where it stands.
+func (pl *setPlan) ride(vs []exec.Verb, eager bool) []exec.Verb {
+	pl.nWalk = len(vs)
+	if pl.ev != nil {
+		vs = append(vs, pl.ev.Step(eager)...)
+	}
+	if pl.probe {
+		vs = append(vs, pl.c.readVerb(memnode.SupplyProbeOp(), &pl.chaseBuf))
+	}
+	pl.verbs = vs
+	return vs
+}
+
+func (pl *setPlan) unride(res []exec.Result) []exec.Result {
+	if pl.probe {
+		pl.probe = false
+		pl.c.alloc.AbsorbSupply(res[len(res)-1].Data)
+		res = res[:len(res)-1]
+	}
+	if len(res) > pl.nWalk {
+		pl.ev.Absorb(res[pl.nWalk:])
+	}
+	return res[:pl.nWalk]
+}
+
 // target is the slot the publishing CAS aims at.
 func (pl *setPlan) target() hashtable.Slot {
 	if pl.mode == pUpdate {
@@ -650,12 +710,7 @@ func (pl *setPlan) Absorb(res []exec.Result) {
 	c := pl.c
 	switch pl.st {
 	case sScan:
-		if len(res) > pl.nWalk {
-			// The armed eviction absorbs first: what the walk decides next
-			// (stage) depends on where the eviction stands.
-			pl.ev.Absorb(res[pl.nWalk:])
-			res = res[:pl.nWalk]
-		}
+		res = pl.unride(res)
 		// Lazy traversal reads one candidate per group and commits at the
 		// FIRST key match, before later candidates (or the next bucket)
 		// are even read. Eager traversal decodes everything first and lets
@@ -667,6 +722,11 @@ func (pl *setPlan) Absorb(res []exec.Result) {
 		if pl.ci == len(pl.cands) {
 			pl.classifyThrough(pl.bi)
 		}
+	case sDisplace:
+		for i, r := range pl.unride(res) {
+			c.applyExt(&pl.dcands[i], r.Data)
+		}
+		pl.pickVictim()
 	case sEvict:
 		pl.ev.Absorb(res)
 		c.Stats.WriteStallNs += c.p.Now() - pl.stallFrom
@@ -679,6 +739,14 @@ func (pl *setPlan) Absorb(res []exec.Result) {
 		// Block ownership transferred: charge the new image to the
 		// stamped tenant.
 		c.accountTenant(pl.tenant, int64(pl.want.SizeBytes()))
+		if pl.evicting {
+			// The same CAS unlinked the displaced occupant: settle it.
+			if obs, ok := pl.blamed.(cachealgo.EvictionObserver); ok {
+				obs.OnEvict(pl.blameP)
+			}
+			c.settleVictim(pl.victim)
+			c.Stats.BucketEvictions++
+		}
 		if pl.migrate {
 			c.fc.Forget(pl.slotAddr)
 			c.ht.WriteMetaOnInsert(pl.slotAddr, pl.kh, pl.mInsertTs, pl.mLastTs, pl.mFreq)
@@ -808,14 +876,63 @@ func (pl *setPlan) findFree(b int) bool {
 }
 
 // finishScan ends the bucket scan without an update match: commit the
-// insert when a reclaimable slot was found, else report full buckets.
+// insert into the reclaimable slot found, else into one it displaces —
+// picked now, or after sDisplace's READs when the choice needs them.
 func (pl *setPlan) finishScan() {
 	if pl.haveIns {
 		pl.startInsert()
 		return
 	}
-	pl.outcome = setNoFree
-	pl.st = sDone
+	pl.dcands = pl.dcands[:0]
+	for _, s := range pl.slots {
+		if cand, ok := pl.c.liveCandidate(s); ok {
+			pl.dcands = append(pl.dcands, cand)
+		}
+	}
+	if len(pl.dcands) > 0 && pl.c.needsExtRead() {
+		pl.st = sDisplace
+		return
+	}
+	pl.pickVictim()
+}
+
+// pickVictim claims the slot of the occupant to displace (setPlan's
+// comment has the policy; two full buckets always hold one), and stages.
+func (pl *setPlan) pickVictim() {
+	c, cands, now := pl.c, pl.dcands, pl.c.p.Now()
+	if len(cands) == 0 {
+		// All history: the entry closest to expiry goes, shortening the
+		// logical FIFO for it only.
+		pl.insSlot = pl.slots[0]
+		for _, s := range pl.slots[1:] {
+			if c.hist.Age(s.Atomic.Pointer()) > c.hist.Age(pl.insSlot.Atomic.Pointer()) {
+				pl.insSlot = s
+			}
+		}
+		pl.startInsert()
+		return
+	}
+	vi := -1
+	if c.cl.tenantMode {
+		// An expired lease goes first, Delete-equivalent, blaming no expert;
+		// then over-quota tenants' keys, and with none of those here the
+		// global policy (there is no resampling a key's own buckets).
+		exp, over := tenantVictims(cands, now, c.cl.overQuotaMask())
+		if vi = exp; exp < 0 && len(over) > 0 {
+			cands = over
+		}
+	}
+	if pl.blamed = nil; vi < 0 {
+		deciding := 0
+		if c.adapt != nil {
+			deciding = c.adapt.PickExpert(c.p.Rand())
+		}
+		vi, pl.blameP = c.lowestPriority(deciding, cands, now)
+		pl.blamed = c.experts[deciding]
+	}
+	pl.victim, pl.evicting = cands[vi], true
+	pl.insSlot = pl.victim.slot
+	pl.startInsert()
 }
 
 // startInsert stages the INSERT into the claimed reclaimable slot.
@@ -1063,7 +1180,6 @@ type evictPlan struct {
 	sampleOps []rdma.BatchOp
 	slots     []hashtable.Slot
 	cands     []candidate
-	ei        int // next candidate ext READ to absorb
 
 	victim candidate
 	bitmap uint64
@@ -1094,7 +1210,6 @@ func (pl *evictPlan) reset(c *Client) *evictPlan {
 	pl.window = c.evictWindow()
 	pl.now = c.p.Now()
 	pl.st = evSample
-	pl.ei = 0
 	pl.slots = pl.slots[:0]
 	pl.cands = pl.cands[:0]
 	pl.victim = candidate{}
@@ -1157,55 +1272,44 @@ func (c *Client) evictWindow() int {
 }
 
 func (pl *evictPlan) Step(eager bool) []exec.Verb {
-	for {
-		switch pl.st {
-		case evSample:
-			// No short-circuit between the (at most two) wrap-around READs,
-			// and the history ID waits on neither: one group under either
-			// traversal.
-			pl.verbs = pl.verbs[:0]
-			for _, op := range pl.sampleOps {
-				pl.verbs = append(pl.verbs, exec.Verb{EP: pl.c.ep, Op: op})
-			}
-			if pl.c.adapt != nil {
-				pl.verbs = append(pl.verbs, exec.Verb{EP: pl.c.ep, Op: pl.c.hist.NextIDOp()})
-			}
-			return pl.verbs
-		case evExt:
-			if pl.ei >= len(pl.cands) {
-				pl.nominate()
-				continue
-			}
-			// Nomination needs every candidate's metadata, so no READ can
-			// short-circuit another: one group under either traversal.
-			pl.verbs = pl.verbs[:0]
-			for i := pl.ei; i < len(pl.cands); i++ {
-				pl.verbs = append(pl.verbs, pl.c.readVerb(pl.c.extReadOp(pl.cands[i].slot), bufAt(&pl.extBufs, i)))
-			}
-			return pl.verbs
-		case evCAS:
-			swap := hashtable.AtomicField(0)
-			if pl.c.adapt != nil && !pl.expVictim {
-				swap = history.EntryFor(pl.victim.slot, pl.histID)
-			}
-			pl.verbs = append(pl.verbs[:0], casVerb(pl.c, pl.victim.slot.Addr, pl.victim.slot.Atomic, swap))
-			return pl.verbs
-		case evLWH:
-			// DisableLWH ablation (cold): a conventional remote FIFO history
-			// costs an actual queue enqueue — FAA the tail, WRITE the entry.
-			pl.verbs = append(pl.verbs[:0],
-				exec.Verb{EP: pl.c.ep, Op: rdma.BatchOp{
-					Kind: rdma.BatchFAA, Addr: memnode.HistCounterAddr + 8, Delta: 1,
-				}},
-				exec.Verb{EP: pl.c.ep, Op: rdma.BatchOp{
-					Kind: rdma.BatchWrite, Addr: memnode.HistCounterAddr + 16,
-					//dittolint:allow hotalloc (DisableLWH ablation branch: cold, runs only with the flag set)
-					Data: make([]byte, 40),
-				}})
-			return pl.verbs
-		default:
-			return nil
+	switch pl.st {
+	case evSample:
+		// No short-circuit between the (at most two) wrap-around READs,
+		// and the history ID waits on neither: one group under either
+		// traversal.
+		pl.verbs = pl.verbs[:0]
+		for _, op := range pl.sampleOps {
+			pl.verbs = append(pl.verbs, exec.Verb{EP: pl.c.ep, Op: op})
 		}
+		if pl.c.adapt != nil {
+			pl.verbs = append(pl.verbs, exec.Verb{EP: pl.c.ep, Op: pl.c.hist.NextIDOp()})
+		}
+		return pl.verbs
+	case evExt:
+		pl.verbs = pl.c.extVerbs(pl.verbs[:0], pl.cands, &pl.extBufs)
+		return pl.verbs
+	case evCAS:
+		swap := hashtable.AtomicField(0)
+		if pl.c.adapt != nil && !pl.expVictim {
+			swap = history.EntryFor(pl.victim.slot, pl.histID)
+		}
+		pl.verbs = append(pl.verbs[:0], casVerb(pl.c, pl.victim.slot.Addr, pl.victim.slot.Atomic, swap))
+		return pl.verbs
+	case evLWH:
+		// DisableLWH ablation (cold): a conventional remote FIFO history
+		// costs an actual queue enqueue — FAA the tail, WRITE the entry.
+		pl.verbs = append(pl.verbs[:0],
+			exec.Verb{EP: pl.c.ep, Op: rdma.BatchOp{
+				Kind: rdma.BatchFAA, Addr: memnode.HistCounterAddr + 8, Delta: 1,
+			}},
+			exec.Verb{EP: pl.c.ep, Op: rdma.BatchOp{
+				Kind: rdma.BatchWrite, Addr: memnode.HistCounterAddr + 16,
+				//dittolint:allow hotalloc (DisableLWH ablation branch: cold, runs only with the flag set)
+				Data: make([]byte, 40),
+			}})
+		return pl.verbs
+	default:
+		return nil
 	}
 }
 
@@ -1237,10 +1341,10 @@ func (pl *evictPlan) Absorb(res []exec.Result) {
 		}
 		pl.nominate()
 	case evExt:
-		for _, r := range res {
-			c.applyExt(&pl.cands[pl.ei], r.Data)
-			pl.ei++
+		for i, r := range res {
+			c.applyExt(&pl.cands[i], r.Data)
 		}
+		pl.nominate()
 	case evCAS:
 		if !res[0].Swapped {
 			pl.outcome = evictLost // raced with another client; resample
@@ -1348,7 +1452,7 @@ const (
 	migMoved    = iota // insert published, survived the sweep, source removed
 	migSkipped         // destination copy was newer (or ours yielded); source removal was GC
 	migRetry           // the source slot changed under the copy: re-read and redo
-	migFallback        // destination complication (full bucket / lost CAS): retry the slot
+	migFallback        // destination complication (lost CAS): retry the slot
 )
 
 // migratePlan moves one live object between memory nodes: the
@@ -1393,7 +1497,7 @@ func (pl *migratePlan) Step(eager bool) []exec.Verb {
 		pl.inserted = true
 	case setPresent:
 		pl.inserted = false
-	default: // setNoFree / setCASLost: the driver retries the slot serially
+	default: // setCASLost: the driver retries the slot serially
 		pl.outcome = migFallback
 		pl.st = 2
 		return nil

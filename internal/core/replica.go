@@ -141,7 +141,7 @@ func (mc *MultiCluster) EnableHotKeyReplication(factor int, threshold uint64, ma
 // keep serving a key the cache decided to drop. The hook sees only the
 // victim's key hash (slots store no key bytes) and must not issue verbs,
 // so it marks and returns; every eviction path (sample plans, the
-// background reclaimer, bucket evictions) reports through it.
+// background reclaimer, displacements) reports through it.
 func (mc *MultiCluster) installEvictHook(id int, cl *Cluster) {
 	cl.onEvictHash = func(kh uint64) { mc.hot.MarkPrimaryEvicted(id, kh) }
 }

@@ -7,7 +7,9 @@
 // Layout of the registered region:
 //
 //	[0,   8)          global history counter (48-bit circular, RDMA_FAA'd)
-//	[8,   headerEnd)  reserved words
+//	[8,   56)         reserved words (the DisableLWH ablation's
+//	                  conventional history queue is modelled here)
+//	[56,  headerEnd)  supply epoch (SupplyEpochAddr)
 //	[headerEnd, T)    sample-friendly hash table (placed by PlaceTable)
 //	[T,   end)        object heap, carved into segments
 //
@@ -15,6 +17,19 @@
 // RPC (infrequent — the second level) and carve 64-byte-granularity blocks
 // from them locally (the common case — zero network cost), exactly as the
 // two-level scheme of FUSEE that the paper adopts (§5.1 Implementations).
+//
+// A client the controller refused stays off the weak MN CPU until memory
+// can have appeared. The supply epoch is one word of two counters: the
+// controller bumps the high half whenever a segment becomes grantable (a
+// raised heap limit, a freed segment) and the low half whenever pooled
+// blocks do (a surrendered free list); a refusal carries the word it was
+// made at, and the dry allocator's periodic probe is a one-sided 8-byte
+// READ of it. A level — the segments, or the pool's list of one size
+// class — is asked again only once its half has moved, so a full cache in
+// steady state issues no allocator RPC, and a writer fed by the pool
+// (behind the background reclaimer) none for segments; the pool requests
+// that writer does need it posts a grant ahead (PrefetchGrant), so their
+// round trip overlaps its other work.
 package memnode
 
 import (
@@ -46,12 +61,23 @@ const BlockSize = 64
 // DefaultSegmentSize is how much memory one ALLOC RPC hands a client.
 const DefaultSegmentSize = 64 * 1024
 
-// headerBytes reserves space for the global history counter and future
+// headerBytes reserves space for the global history counter and the
 // control words at the base of the region.
 const headerBytes = 64
 
 // HistCounterAddr is the address of the global history counter.
 const HistCounterAddr uint64 = 0
+
+// SupplyEpochAddr is the address of the supply epoch, the header's last
+// word: the controller bumps one of its halves whenever grantable memory
+// appears (bumpSupply), dry allocators READ it instead of asking (Alloc).
+const SupplyEpochAddr uint64 = headerBytes - 8
+
+// The supply epoch's two counters, as bumpSupply units.
+const (
+	supplyPool uint64 = 1       // low half: pooled blocks appeared
+	supplySeg  uint64 = 1 << 32 // high half: a segment became grantable
+)
 
 // MemNode wraps an rdma.Node with Ditto's layout and the segment-level
 // allocator run by the controller.
@@ -185,6 +211,23 @@ func (mn *MemNode) GrowHeap(bytes int) {
 		panic("memnode: GrowHeap beyond registered region")
 	}
 	mn.heapEnd = newEnd
+	mn.bumpSupply(supplySeg)
+}
+
+// bumpSupply advances one counter of the supply epoch: grantable memory
+// of that level just appeared. Each half wraps on its own — a reclaimer
+// surrendering for days must not carry into the segment counter. The word
+// in MN memory is the only copy, so what a refusal reports and what a
+// probe READs can never disagree.
+func (mn *MemNode) bumpSupply(level uint64) {
+	w := mn.Node.Uint64At(SupplyEpochAddr)
+	seg, pool := uint32(w>>32), uint32(w)
+	if level == supplySeg {
+		seg++
+	} else {
+		pool++
+	}
+	mn.Node.PutUint64At(SupplyEpochAddr, uint64(seg)<<32|uint64(pool))
 }
 
 // ShrinkHeap lowers the allocatable heap end by bytes — the "remove
@@ -242,11 +285,18 @@ func (mn *MemNode) SetWatermarks(low, high int) {
 // ShrinkHeap cannot leave a stale absolute watermark demanding more
 // free space than the cache should reasonably hold empty.
 func (mn *MemNode) BelowLowWater() bool {
+	return (mn.LowWaterBytes > 0 && mn.ReclaimLag() > 0) || mn.OverBudget()
+}
+
+// ReclaimLag returns how many bytes free space sits under the (clamped)
+// low watermark: how far writers have outrun the reclaimer since its wake
+// mark. Negative above it.
+func (mn *MemNode) ReclaimLag() int {
 	low := mn.LowWaterBytes
 	if cap := mn.HeapBytes() / 4; low > cap {
 		low = cap
 	}
-	return (low > 0 && mn.FreeBytes() < low) || mn.OverBudget()
+	return low - mn.FreeBytes()
 }
 
 // ReclaimTarget returns the effective high watermark: the configured
@@ -341,6 +391,9 @@ func (mn *MemNode) SetHeapLimit(bytes int) {
 	if newEnd > uint64(mn.Node.MemSize()) {
 		panic("memnode: heap limit beyond registered region")
 	}
+	if newEnd > mn.heapEnd {
+		mn.bumpSupply(supplySeg)
+	}
 	mn.heapEnd = newEnd
 }
 
@@ -402,7 +455,9 @@ func (mn *MemNode) handleAllocSeg([]byte) []byte {
 		addr = mn.nextSeg
 		mn.nextSeg += uint64(mn.segmentSize)
 	default:
-		reply[0] = 0 // out of memory
+		// Out of memory: the refusal carries the supply epoch it was made
+		// at, so the client knows which word value means "still nothing".
+		binary.LittleEndian.PutUint64(reply[1:], mn.Node.Uint64At(SupplyEpochAddr))
 		return reply
 	}
 	mn.SegAllocs++
@@ -414,6 +469,7 @@ func (mn *MemNode) handleAllocSeg([]byte) []byte {
 func (mn *MemNode) handleFreeSeg(payload []byte) []byte {
 	addr := binary.LittleEndian.Uint64(payload)
 	mn.freeSegs = append(mn.freeSegs, addr)
+	mn.bumpSupply(supplySeg)
 	return []byte{1}
 }
 
@@ -424,6 +480,7 @@ func (mn *MemNode) handleFreeBlocks(payload []byte) []byte {
 	for off := 8; off+8 <= len(payload); off += 8 {
 		mn.blockPool[cl] = append(mn.blockPool[cl], binary.LittleEndian.Uint64(payload[off:]))
 	}
+	mn.bumpSupply(supplyPool)
 	return []byte{1}
 }
 
@@ -437,13 +494,17 @@ const poolGrant = 8
 // pays the controller once per grant, not once per block; and never more
 // than half of what the class holds (rounded up), so a thin pool still
 // serves the next writer. The reply to an empty pool keeps the
-// one-address shape.
+// one-address shape, and carries the supply epoch there as a refused
+// segment request does.
 func (mn *MemNode) handleAllocBlock(payload []byte) []byte {
 	cl := int(binary.LittleEndian.Uint64(payload))
 	lst := mn.blockPool[cl]
 	n := min(poolGrant, (len(lst)+1)/2)
 	reply := make([]byte, 1+8*max(n, 1))
 	reply[0] = byte(n)
+	if n == 0 {
+		binary.LittleEndian.PutUint64(reply[1:], mn.Node.Uint64At(SupplyEpochAddr))
+	}
 	for i := 0; i < n; i++ {
 		binary.LittleEndian.PutUint64(reply[1+8*i:], lst[len(lst)-1-i])
 	}
@@ -463,49 +524,134 @@ type Alloc struct {
 	remaining int    // bytes left in the current segment
 	free      map[int][]uint64
 
-	// segFailBackoff suppresses repeat ALLOC RPCs after the controller
-	// reported exhaustion, so steady-state eviction/insert cycles don't
-	// spam the weak controller. The client re-probes periodically, which
-	// is how it discovers memory grown by the elasticity knobs.
-	segFailBackoff int
+	// noSeg marks that the controller refused this client a segment, at
+	// supply counter segAt; poolAt holds, per size class the pool refused,
+	// the pool counter of that refusal — the pool is per class, so blocks
+	// of one class are found while another stays refused. A refused level
+	// is not asked again, so steady-state eviction/insert cycles never
+	// reach the weak controller; with the segment and the class asked for
+	// both refused a dry Alloc fails locally, and dry counts those
+	// failures, every poolProbeInterval-th of which probes the supply word.
+	// A counter that moved clears what was refused at its old value: that
+	// is how the client finds memory grown by the elasticity knobs or
+	// surrendered by a finished reshard.
+	noSeg  bool
+	segAt  uint32
+	poolAt map[int]uint32
+	dry    int
+
+	// grant is the pool request PrefetchGrant posted ahead of need for
+	// size class grantCl (0: none in flight).
+	grant   rdma.PendingRPC
+	grantCl int
 }
 
-// segRetryInterval is how many failed Allocs to wait before re-asking the
-// controller for a segment.
-const segRetryInterval = 256
-
-// poolProbeInterval is how often, within a backoff window, the client
-// probes the controller's surrendered-block pool.
+// poolProbeInterval is how many dry Allocs pass between two probes of
+// the supply epoch.
 const poolProbeInterval = 32
+
+// SupplyProbeOp is the dry allocator's probe: a one-sided 8-byte READ of
+// the supply epoch. Feed the completion to AbsorbSupply.
+func SupplyProbeOp() rdma.BatchOp {
+	return rdma.BatchOp{Kind: rdma.BatchRead, Addr: SupplyEpochAddr, Len: 8}
+}
+
+// AbsorbSupply folds a SupplyProbeOp completion in, reporting whether a
+// counter moved since a refusal at its level — the next Alloc of what was
+// refused then asks the controller again.
+func (a *Alloc) AbsorbSupply(word []byte) (moved bool) {
+	w := binary.LittleEndian.Uint64(word)
+	if a.noSeg && uint32(w>>32) != a.segAt {
+		a.noSeg, moved = false, true
+	}
+	for cl, at := range a.poolAt {
+		if uint32(w) != at {
+			delete(a.poolAt, cl)
+			moved = true
+		}
+	}
+	return moved
+}
+
+// postGrant asks the controller for surrendered blocks of size class cl
+// (one RPC) without waiting for the reply; absorbGrant takes it.
+func (a *Alloc) postGrant(cl int) rdma.PendingRPC {
+	req := make([]byte, 8)
+	binary.LittleEndian.PutUint64(req, uint64(cl))
+	return a.ep.PostRPC(OpAllocBlock, req)
+}
+
+// absorbGrant parks the blocks of a pool reply on class cl's free list,
+// the first granted on top, or records the refusal.
+func (a *Alloc) absorbGrant(cl int, blk []byte) bool {
+	if blk[0] == 0 {
+		a.poolAt[cl] = uint32(binary.LittleEndian.Uint64(blk[1:]))
+		return false
+	}
+	delete(a.poolAt, cl)
+	for i := 1; i < int(blk[0]); i++ {
+		a.free[cl] = append(a.free[cl], binary.LittleEndian.Uint64(blk[1+8*i:]))
+	}
+	a.free[cl] = append(a.free[cl], binary.LittleEndian.Uint64(blk[1:]))
+	return true
+}
+
+// collectGrant waits out what is left of the prefetched grant's round
+// trip and absorbs it.
+func (a *Alloc) collectGrant() bool {
+	cl := a.grantCl
+	a.grantCl = 0
+	return a.absorbGrant(cl, a.grant.Wait())
+}
 
 // allocFromPool asks the controller for surrendered blocks of the given
 // size class (one RPC): the first granted block is the allocation, the
 // rest park on the local free list.
 func (a *Alloc) allocFromPool(cl int) (uint64, bool) {
-	req := make([]byte, 8)
-	binary.LittleEndian.PutUint64(req, uint64(cl))
-	blk := a.ep.RPC(OpAllocBlock, req)
-	if blk[0] == 0 {
+	if !a.absorbGrant(cl, a.postGrant(cl).Wait()) {
 		return 0, false
 	}
-	for i := 1; i < int(blk[0]); i++ {
-		a.free[cl] = append(a.free[cl], binary.LittleEndian.Uint64(blk[1+8*i:]))
+	return a.take(cl)
+}
+
+// take pops class cl's local free list.
+func (a *Alloc) take(cl int) (uint64, bool) {
+	lst := a.free[cl]
+	if len(lst) == 0 {
+		return 0, false
 	}
+	addr := lst[len(lst)-1]
+	a.free[cl] = lst[:len(lst)-1]
 	a.mn.UsedBytes += cl
-	addr := binary.LittleEndian.Uint64(blk[1:])
 	a.mn.noteAlloc(addr, cl)
 	return addr, true
 }
 
 // NewAlloc creates a client allocator speaking to mn through ep.
 func NewAlloc(mn *MemNode, ep *rdma.Endpoint) *Alloc {
-	return &Alloc{ep: ep, mn: mn, free: make(map[int][]uint64)}
+	return &Alloc{ep: ep, mn: mn, free: make(map[int][]uint64), poolAt: make(map[int]uint32)}
+}
+
+// PrefetchGrant posts the pool request the next Alloc of size's class
+// would have to wait for, when that is already certain: the class's local
+// list is empty, no segment is to be had, and the pool has not refused
+// the class. The Alloc that finds the list still empty collects the reply
+// (TryAlloc), by then usually arrived. For writers fed by the pool —
+// behind the background reclaimer — this takes the controller's round
+// trip off the one insert in poolGrant that would otherwise pay it. One
+// grant in flight per client.
+func (a *Alloc) PrefetchGrant(size int) {
+	cl := SizeClass(size)
+	if _, refused := a.poolAt[cl]; refused || a.grantCl != 0 || !a.noSeg || a.remaining >= cl || len(a.free[cl]) > 0 {
+		return
+	}
+	a.grant, a.grantCl = a.postGrant(cl), cl
 }
 
 // AllocFromPool allocates a block for size bytes straight from the
 // controller's surrendered-block pool (one RPC; the rest of the grant
-// parks on the local free list), bypassing the local free lists and the
-// segment backoff. Clients stalled behind the
+// parks on the local free list), bypassing the local free lists and
+// whatever the supply epoch said last. Clients stalled behind the
 // background reclaimer use it: the reclaimer frees victims onto its own
 // lists and surrenders them to the pool, so this is where reclaimed
 // space surfaces first.
@@ -523,56 +669,74 @@ func SizeClass(size int) int {
 
 // Alloc returns the address of a block that fits size bytes, or ok=false
 // when the memory pool is exhausted (the caller then evicts and retries).
+// A due supply probe is issued here, synchronously, and an epoch that
+// moved goes straight on to the controller.
 func (a *Alloc) Alloc(size int) (addr uint64, ok bool) {
+	addr, ok, probe := a.TryAlloc(size)
+	if op := SupplyProbeOp(); probe && a.AbsorbSupply(a.ep.Read(op.Addr, op.Len)) {
+		addr, ok, _ = a.TryAlloc(size)
+	}
+	return addr, ok
+}
+
+// TryAlloc is Alloc for a caller that posts the supply probe itself, in
+// a verb group it is about to issue anyway: probe reports that this dry
+// Alloc is one whose cadence calls for a SupplyProbeOp.
+func (a *Alloc) TryAlloc(size int) (addr uint64, ok, probe bool) {
 	cl := SizeClass(size)
 	if cl > a.mn.segmentSize {
 		panic(fmt.Sprintf("memnode: object of %d bytes exceeds segment size %d", size, a.mn.segmentSize))
 	}
-	if lst := a.free[cl]; len(lst) > 0 {
-		addr = lst[len(lst)-1]
-		a.free[cl] = lst[:len(lst)-1]
-		a.mn.UsedBytes += cl
-		a.mn.noteAlloc(addr, cl)
-		return addr, true
+	if addr, ok = a.take(cl); ok {
+		return addr, true, false
+	}
+	if a.grantCl == cl && a.collectGrant() {
+		addr, _ = a.take(cl)
+		return addr, true, false
 	}
 	if a.remaining < cl {
-		if a.segFailBackoff > 0 {
-			a.segFailBackoff--
-			// Probe the surrendered-block pool every poolProbeInterval
-			// backoff decrements: blocks surrendered while this client is
-			// backing off (e.g. by a completed reshard) become reachable
-			// within a bounded number of allocs, without adding an RPC to
-			// every steady-state eviction cycle.
-			if a.segFailBackoff%poolProbeInterval == 0 {
-				if addr, ok := a.allocFromPool(cl); ok {
-					return addr, true
+		_, refused := a.poolAt[cl]
+		if a.noSeg && refused {
+			a.dry++
+			return 0, false, a.dry%poolProbeInterval == 0
+		}
+		if !a.fetchSegment() {
+			// No segments left: the controller's pool of blocks surrendered
+			// by departed clients is what remains.
+			if !refused {
+				if addr, ok = a.allocFromPool(cl); ok {
+					return addr, true, false
 				}
 			}
-			return 0, false
+			a.dry = 0
+			return 0, false, false
 		}
-		// Second level: fetch a fresh segment from the controller. The tail
-		// of the old segment (if any) is parked on free lists so it is not
-		// leaked.
-		a.shredTail()
-		reply := a.ep.RPC(OpAllocSeg, nil)
-		if reply[0] == 0 {
-			// No segments left: try the controller's pool of blocks
-			// surrendered by departed clients before conceding.
-			if addr, ok := a.allocFromPool(cl); ok {
-				return addr, true
-			}
-			a.segFailBackoff = segRetryInterval
-			return 0, false
-		}
-		a.cursor = binary.LittleEndian.Uint64(reply[1:])
-		a.remaining = a.mn.segmentSize
 	}
 	addr = a.cursor
 	a.cursor += uint64(cl)
 	a.remaining -= cl
 	a.mn.UsedBytes += cl
 	a.mn.noteAlloc(addr, cl)
-	return addr, true
+	return addr, true, false
+}
+
+// fetchSegment is the second level: a fresh segment from the controller,
+// unless it already refused one and none has become grantable since. The
+// tail of the old segment (if any) is parked on free lists so it is not
+// leaked.
+func (a *Alloc) fetchSegment() bool {
+	if a.noSeg {
+		return false
+	}
+	a.shredTail()
+	reply := a.ep.RPC(OpAllocSeg, nil)
+	word := binary.LittleEndian.Uint64(reply[1:])
+	if reply[0] == 0 {
+		a.noSeg, a.segAt = true, uint32(word>>32)
+		return false
+	}
+	a.cursor, a.remaining = word, a.mn.segmentSize
+	return true
 }
 
 // shredTail converts the remainder of the current segment into free blocks
@@ -614,6 +778,9 @@ func (a *Alloc) Free(addr uint64, size int) {
 // cost common case — but a transient client (the resharder) must call
 // this before going away, or the space it freed would be stranded.
 func (a *Alloc) Surrender() {
+	if a.grantCl != 0 {
+		a.collectGrant()
+	}
 	a.shredTail()
 	classes := make([]int, 0, len(a.free))
 	for cl := range a.free {

@@ -358,3 +358,291 @@ func TestFreeTrackingReset(t *testing.T) {
 	})
 	env.Run()
 }
+
+// TestSupplyEpochGatesTheController pins the dry allocator's protocol: a
+// client the controller refused fails locally and probes the supply word
+// with a one-sided READ every poolProbeInterval-th dry Alloc — no RPC
+// reaches the controller until memory can have appeared — and finds a
+// grown heap or a surrendered free list within one probe interval, asking
+// only the level whose counter moved.
+func TestSupplyEpochGatesTheController(t *testing.T) {
+	env := sim.NewEnv(5)
+	mn := newTestMN(env, 1<<20)
+	mn.PlaceTable(256)
+	mn.SetHeapLimit(DefaultSegmentSize)
+	env.Go("c", func(p *sim.Proc) {
+		// Only allocators talk to this node, so every RPC it serves is a
+		// segment or a pool request.
+		rpcs := func() int64 { return mn.Node.Stats.RPCs }
+		a := NewAlloc(mn, rdma.NewEndpoint(mn.Node, p))
+		fill := func() (got []uint64) {
+			for {
+				addr, ok := a.Alloc(256)
+				if !ok {
+					return got
+				}
+				got = append(got, addr)
+			}
+		}
+		// dryUntil counts the dry Allocs before one succeeds.
+		dryUntil := func() int {
+			for n := 0; n <= 2*poolProbeInterval; n++ {
+				if _, ok := a.Alloc(256); ok {
+					return n
+				}
+			}
+			t.Fatal("new supply never found")
+			return 0
+		}
+		first := fill()
+
+		// Steady and full: 1 000 dry Allocs, not one request served, a READ
+		// per probe interval.
+		s0 := mn.Node.Stats
+		for i := 0; i < 1000; i++ {
+			if _, ok := a.Alloc(256); ok {
+				t.Fatal("a full heap granted a block")
+			}
+		}
+		if got := rpcs() - s0.RPCs; got != 0 {
+			t.Errorf("a full, steady heap served %d allocator requests, want none", got)
+		}
+		if got := mn.Node.Stats.Reads - s0.Reads; got != 1000/poolProbeInterval {
+			t.Errorf("%d probe READs in 1000 dry Allocs, want %d", got, 1000/poolProbeInterval)
+		}
+
+		// TryAlloc leaves the due probe to its caller and issues nothing;
+		// an unmoved word changes nothing.
+		s0 = mn.Node.Stats
+		due := 0
+		for i := 0; i < poolProbeInterval; i++ {
+			if _, ok, probe := a.TryAlloc(256); ok {
+				t.Fatal("a full heap granted a block")
+			} else if probe {
+				due++
+				word := make([]byte, 8)
+				copy(word, mn.Node.Mem()[SupplyEpochAddr:])
+				if a.AbsorbSupply(word) {
+					t.Error("an unmoved supply word read as moved")
+				}
+			}
+		}
+		if due != 1 || mn.Node.Stats.Total() != s0.Total() {
+			t.Errorf("TryAlloc: %d probes due in one interval and %d verbs issued, want 1 and 0",
+				due, mn.Node.Stats.Total()-s0.Total())
+		}
+
+		// A grown heap: found within one probe interval, by asking for a
+		// segment only.
+		r0, segs := rpcs(), mn.SegAllocs
+		mn.GrowHeap(DefaultSegmentSize)
+		if n := dryUntil(); n >= poolProbeInterval {
+			t.Errorf("grown heap found after %d dry Allocs, want under %d", n, poolProbeInterval)
+		}
+		if rpcs() != r0+1 || mn.SegAllocs != segs+1 {
+			t.Errorf("finding the grown segment took %d requests for %d segments, want 1 for 1",
+				rpcs()-r0, mn.SegAllocs-segs)
+		}
+		fill()
+
+		// A departed client's surrendered free list: found within one probe
+		// interval, by asking the pool only — no segment became grantable.
+		other := NewAlloc(mn, rdma.NewEndpoint(mn.Node, p))
+		for _, addr := range first[:poolGrant] {
+			other.Free(addr, 256)
+		}
+		other.Surrender()
+		r0 = rpcs()
+		if n := dryUntil(); n >= poolProbeInterval {
+			t.Errorf("surrendered blocks found after %d dry Allocs, want under %d", n, poolProbeInterval)
+		}
+		if rpcs() != r0+1 || a.FreeBlocks() == 0 {
+			t.Errorf("finding the surrendered blocks took %d requests and parked %d blocks, want 1 pool grant",
+				rpcs()-r0, a.FreeBlocks())
+		}
+
+		// The reclaimer's stall loop asks the pool outright, refused or not.
+		fill()
+		r0 = rpcs()
+		for i := 0; i < 3; i++ {
+			if _, ok := a.AllocFromPool(256); ok {
+				t.Fatal("an empty pool granted a block")
+			}
+		}
+		if rpcs() != r0+3 {
+			t.Errorf("AllocFromPool reached the controller %d times in 3 calls", rpcs()-r0)
+		}
+	})
+	env.Run()
+}
+
+// TestPoolRefusalIsPerClass: the pool is kept per size class, and so is
+// what a client remembers of its refusals. Blocks of one class sitting in
+// the pool are granted to a client that is refused — at the current
+// counter — for another, and the class that has nothing stays off the
+// controller.
+func TestPoolRefusalIsPerClass(t *testing.T) {
+	env := sim.NewEnv(5)
+	mn := newTestMN(env, 1<<20)
+	mn.PlaceTable(256)
+	mn.SetHeapLimit(DefaultSegmentSize)
+	env.Go("c", func(p *sim.Proc) {
+		rpcs := func() int64 { return mn.Node.Stats.RPCs }
+		a := NewAlloc(mn, rdma.NewEndpoint(mn.Node, p))
+		var small []uint64
+		for i := 0; i < 4; i++ {
+			addr, _ := a.Alloc(128)
+			small = append(small, addr)
+		}
+		for {
+			if _, ok := a.Alloc(256); !ok {
+				break
+			}
+		}
+		// A departed client surrenders class-128 blocks only. The probes of
+		// two dry intervals see the pool counter move and ask for 256 again:
+		// refused, now at the counter the 128s arrived at.
+		other := NewAlloc(mn, rdma.NewEndpoint(mn.Node, p))
+		for _, addr := range small {
+			other.Free(addr, 128)
+		}
+		other.Surrender()
+		for i := 0; i < 2*poolProbeInterval; i++ {
+			if _, ok := a.Alloc(256); ok {
+				t.Fatal("a pool without class-256 blocks granted one")
+			}
+		}
+		r0 := rpcs()
+		if _, ok := a.Alloc(128); !ok || rpcs() != r0+1 {
+			t.Errorf("Alloc(128) beside a refused class 256: ok=%v after %d requests, want a grant from 1", ok, rpcs()-r0)
+		}
+		r0 = rpcs()
+		if _, ok := a.Alloc(256); ok || rpcs() != r0 {
+			t.Errorf("class 256, still refused, reached the controller %d times (ok=%v)", rpcs()-r0, ok)
+		}
+	})
+	env.Run()
+}
+
+// TestPrefetchGrantHidesThePoolRoundTrip pins the pool-fed writer's
+// refill: PrefetchGrant posts the next grant only once it is certain to
+// be needed (list empty, no segment to be had, class not refused, nothing
+// in flight), the Alloc that needs it waits for what is left of the round
+// trip — nothing, one Set later — and no block is lost to a grant still
+// in flight at Surrender.
+func TestPrefetchGrantHidesThePoolRoundTrip(t *testing.T) {
+	env := sim.NewEnv(5)
+	mn := newTestMN(env, 1<<20)
+	mn.PlaceTable(256)
+	mn.SetHeapLimit(DefaultSegmentSize)
+	mn.EnableFreeTracking()
+	env.Go("c", func(p *sim.Proc) {
+		rpcs := func() int64 { return mn.Node.Stats.RPCs }
+		a := NewAlloc(mn, rdma.NewEndpoint(mn.Node, p))
+		var held []uint64
+		for {
+			addr, ok := a.Alloc(256)
+			if !ok {
+				break
+			}
+			held = append(held, addr)
+		}
+		other := NewAlloc(mn, rdma.NewEndpoint(mn.Node, p))
+		for _, addr := range held[:4*poolGrant] {
+			other.Free(addr, 256)
+		}
+		other.Surrender()
+		// drain empties a's class-256 list.
+		drain := func() {
+			for a.FreeBlocks() > 0 {
+				if _, ok := a.Alloc(256); !ok {
+					t.Fatal("a parked block was not allocated")
+				}
+			}
+		}
+		posted := func(why string, want int64, f func()) {
+			t.Helper()
+			r0, t0 := rpcs(), p.Now()
+			f()
+			if rpcs()-r0 != want || p.Now() != t0 {
+				t.Errorf("%s: %d requests posted in %dns, want %d in 0", why, rpcs()-r0, p.Now()-t0, want)
+			}
+		}
+
+		posted("class refused", 0, func() { a.PrefetchGrant(256) })
+		if _, ok := a.AllocFromPool(256); !ok { // clears the refusal, parks the rest of the grant
+			t.Fatal("a stocked pool refused")
+		}
+		posted("list not empty", 0, func() { a.PrefetchGrant(256) })
+		drain()
+		posted("list empty", 1, func() { a.PrefetchGrant(256) })
+		posted("one already in flight", 0, func() { a.PrefetchGrant(256) })
+
+		// A Set's worth of time later the grant has arrived: the Alloc that
+		// needs it neither waits nor asks.
+		p.Sleep(10 * sim.Microsecond)
+		posted("collecting an arrived grant", 0, func() {
+			if _, ok := a.Alloc(256); !ok {
+				t.Error("the prefetched grant was not allocated from")
+			}
+		})
+
+		// Needed at once, the Alloc waits the round trip out — one request,
+		// not two.
+		drain()
+		r0, t0 := rpcs(), p.Now()
+		a.PrefetchGrant(256)
+		if _, ok := a.Alloc(256); !ok || rpcs() != r0+1 || p.Now() == t0 {
+			t.Errorf("Alloc right behind its prefetch: ok=%v, %d requests, %dns", ok, rpcs()-r0, p.Now()-t0)
+		}
+
+		// A grant in flight at Surrender goes back to the pool with the rest.
+		drain()
+		a.PrefetchGrant(256)
+		a.Surrender()
+		if got, want := len(mn.blockPool[256])+a.FreeBlocks(), len(held)-mn.LiveTrackedBlocks(); got != want {
+			t.Errorf("%d class-256 blocks pooled or parked, want the %d not live", got, want)
+		}
+	})
+	env.Run()
+}
+
+// TestSupplyCountersWrapApart: each half of the supply epoch wraps on its
+// own; a pool counter rolling over must not read as a segment appearing.
+func TestSupplyCountersWrapApart(t *testing.T) {
+	mn := newTestMN(sim.NewEnv(1), 1<<20)
+	mn.Node.PutUint64At(SupplyEpochAddr, 7<<32|0xffffffff)
+	mn.bumpSupply(supplyPool)
+	if got := mn.Node.Uint64At(SupplyEpochAddr); got != 7<<32 {
+		t.Errorf("pool counter wrap: word = %#x, want %#x", got, uint64(7<<32))
+	}
+	mn.Node.PutUint64At(SupplyEpochAddr, 0xffffffff<<32|5)
+	mn.bumpSupply(supplySeg)
+	if got := mn.Node.Uint64At(SupplyEpochAddr); got != 5 {
+		t.Errorf("segment counter wrap: word = %#x, want 0x5", got)
+	}
+}
+
+// TestReclaimLag: the reclaimer's wake condition and the size of its
+// rounds both read the distance of free space under the low watermark —
+// negative above it, clamped with the watermark to a quarter of the heap.
+func TestReclaimLag(t *testing.T) {
+	env := sim.NewEnv(1)
+	mn := newTestMN(env, 1<<20)
+	mn.PlaceTable(256)
+	mn.SetHeapLimit(4 * DefaultSegmentSize)
+	heap := mn.HeapBytes()
+	mn.SetWatermarks(heap/16, heap/8)
+	if mn.BelowLowWater() || mn.ReclaimLag() != heap/16-heap {
+		t.Errorf("empty heap: below=%v lag=%d, want above the watermark by all but %d", mn.BelowLowWater(), mn.ReclaimLag(), heap/16)
+	}
+	mn.UsedBytes = heap - heap/16 + 3*BlockSize
+	if !mn.BelowLowWater() || mn.ReclaimLag() != 3*BlockSize {
+		t.Errorf("3 blocks under the watermark: below=%v lag=%d", mn.BelowLowWater(), mn.ReclaimLag())
+	}
+	mn.SetWatermarks(heap/2, heap)
+	mn.UsedBytes = heap - heap/4
+	if mn.BelowLowWater() || mn.ReclaimLag() != 0 {
+		t.Errorf("watermark clamped to a quarter of the heap: below=%v lag=%d, want level with it", mn.BelowLowWater(), mn.ReclaimLag())
+	}
+}

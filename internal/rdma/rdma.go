@@ -521,6 +521,22 @@ func postMulti(batches []EndpointBatch, out [][]BatchResult) {
 // request consumes two NIC messages (request + reply) and queues on the MN
 // CPU, which is the scarce resource the paper's baselines saturate.
 func (e *Endpoint) RPC(op uint8, payload []byte) []byte {
+	return e.PostRPC(op, payload).Wait()
+}
+
+// PendingRPC is a request PostRPC sent whose reply nobody has waited for.
+type PendingRPC struct {
+	e     *Endpoint
+	reply []byte
+	ready int64
+}
+
+// PostRPC sends a request as RPC does — same messages, same place in the
+// MN CPU's queue — and returns without waiting: the caller collects the
+// reply with Wait, and whatever it does in between overlaps the round
+// trip. A request posted ahead of need costs its issuer nothing but the
+// controller's time.
+func (e *Endpoint) PostRPC(op uint8, payload []byte) PendingRPC {
 	n := e.node
 	h, ok := n.handlers[op]
 	if !ok {
@@ -536,14 +552,23 @@ func (e *Endpoint) RPC(op uint8, payload []byte) []byte {
 	end := n.cpu.Acquire(svc)
 	reply := h(payload)
 	n.nic.Acquire(n.msgSvc(len(reply)))
-	e.p.SleepUntil(end + n.cfg.RTT)
+	return PendingRPC{e: e, reply: reply, ready: end + n.cfg.RTT}
+}
+
+// Wait blocks until the reply has arrived — not at all when it already
+// has — and returns it.
+func (r PendingRPC) Wait() []byte {
+	n := r.e.node
+	if r.ready > r.e.p.Now() {
+		r.e.p.SleepUntil(r.ready)
+	}
 	if n.down {
 		// The controller died before the reply arrived. The handler may
 		// have executed — classic RPC ambiguity — but the node's state
 		// is lost with it, so callers just see the timeout.
-		n.unreachable(e.p)
+		n.unreachable(r.e.p)
 	}
-	return reply
+	return r.reply
 }
 
 // Mem returns direct access to the registered region. It exists for

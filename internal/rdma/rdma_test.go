@@ -162,6 +162,57 @@ func TestRPCExecutesHandlerAndCostsCPU(t *testing.T) {
 	}
 }
 
+// TestPostRPCOverlapsTheRoundTrip: a posted request runs its handler and
+// takes its place in the MN CPU's queue at post time, costs what an RPC
+// costs, and its issuer pays only the part of the round trip it has not
+// already spent elsewhere.
+func TestPostRPCOverlapsTheRoundTrip(t *testing.T) {
+	env := sim.NewEnv(1)
+	node := testNode(env)
+	served := 0
+	node.Handle(9, func(payload []byte) []byte {
+		served++
+		return append([]byte("ok:"), payload...)
+	})
+	env.Go("c", func(p *sim.Proc) {
+		ep := NewEndpoint(node, p)
+		start := p.Now()
+		ep.RPC(9, []byte("ping"))
+		rpc := p.Now() - start
+
+		start = p.Now()
+		r := ep.PostRPC(9, []byte("ping"))
+		if p.Now() != start || served != 2 {
+			t.Errorf("PostRPC took %dns and the handler ran %d times, want 0 and 2", p.Now()-start, served)
+		}
+		p.Sleep(rpc / 2)
+		if reply := r.Wait(); string(reply) != "ok:ping" {
+			t.Errorf("reply = %q", reply)
+		}
+		if got := p.Now() - start; got != rpc {
+			t.Errorf("post + half the round trip elsewhere + Wait = %dns, want the RPC's %dns", got, rpc)
+		}
+
+		r = ep.PostRPC(9, nil)
+		p.Sleep(2 * rpc)
+		start = p.Now()
+		r.Wait()
+		if p.Now() != start {
+			t.Errorf("Wait on an arrived reply took %dns", p.Now()-start)
+		}
+
+		r = ep.PostRPC(9, nil)
+		node.Fail()
+		if err := CatchUnreachable(func() { r.Wait() }); !IsUnreachable(err) {
+			t.Errorf("Wait on a failed node: %v, want NodeUnreachableError", err)
+		}
+	})
+	env.Run()
+	if node.Stats.RPCs != 4 {
+		t.Errorf("rpc count = %d, want 4", node.Stats.RPCs)
+	}
+}
+
 func TestRPCThroughputBoundedByCPU(t *testing.T) {
 	// With 1 MN core at RPCSvc=1500ns, aggregate RPC throughput must
 	// saturate near 1/1500ns ≈ 0.67 Mops regardless of client count.
