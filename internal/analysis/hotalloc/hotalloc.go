@@ -29,8 +29,11 @@
 //     functions are not run loops and stay unswept;
 //   - in ditto/internal/core: methods on the plan types (receiver type
 //     name ending in "Plan") — Step, Absorb, reset, and the stage
-//     helpers they call through the receiver — and on keyWalk, the
-//     lookup stage the keyed plans embed.
+//     helpers they call through the receiver — on keyWalk, the lookup
+//     stage the keyed plans embed, and on the batched driver (batch.go):
+//     fan, which every MGet/MSet/MDelete pass runs through, and the
+//     operations' pass halves (receiver type name ending in "Batch":
+//     serial, stage, consume).
 //
 // Deliberate allocations — pool-growth on a free-list miss, a
 // once-per-runner map init, a cold ablation branch — state why with
@@ -80,7 +83,8 @@ func hotFunc(path string, fd *ast.FuncDecl) bool {
 	case "ditto/internal/exec":
 		return name == "Runner" || name == "SerialRunner" || name == "DoorbellRunner"
 	case "ditto/internal/core":
-		return strings.HasSuffix(name, "Plan") || name == "keyWalk"
+		return strings.HasSuffix(name, "Plan") || name == "keyWalk" ||
+			name == "fan" || strings.HasSuffix(name, "Batch")
 	case "ditto/internal/fairness":
 		// The multi-tenant wrapper sits on every tenant-path op: its
 		// Get/Set must stay alloc-free too (retained scratch, GetAppend).

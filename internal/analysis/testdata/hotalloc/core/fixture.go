@@ -153,6 +153,58 @@ func (pl *fakeArmedSetPlan) finishScan(slots []uint64) {
 	_ = cands
 }
 
+// fan and fakeSetBatch mirror the batched driver (batch.go): the driver's
+// methods and the operations' pass halves (receiver type name ending in
+// "Batch") are swept. A phase reaches every group as a method EXPRESSION —
+// a plain function value, no closure — the pass's plans gather in the
+// fan's retained slice, and the per-group failure guard's non-escaping
+// closure is the one reasoned exception. The flagged forms are the per-call slices and
+// closures a fan-out is tempted to build (the rows allocs_test pins at the
+// single-cluster ceilings).
+type fan struct {
+	groups [][]int
+	plans  []*fakePlan
+}
+
+type fakeSetBatch struct {
+	pool []*fakePlan
+	kept []*fakePlan
+}
+
+func (b *fakeSetBatch) stage(f *fan, idxs []int) {
+	b.kept = b.kept[:0] // retained-scratch reset: no finding
+	for range idxs {
+		pl := b.pool[len(b.pool)-1] // pooled plan: no finding
+		b.kept, f.plans = append(b.kept, pl), append(f.plans, pl)
+	}
+
+	seen := make(map[int]bool, len(idxs)) // want `make in hot function stage allocates per call`
+	_ = seen
+}
+
+func (f *fan) each(b *fakeSetBatch, phase func(*fakeSetBatch, *fan, []int)) {
+	for _, g := range f.groups {
+		//dittolint:allow hotalloc (non-escaping closure: stack-allocated; allocs_test pins the batched rows)
+		catchFixture(func() { phase(b, f, g) })
+	}
+}
+
+// catchFixture is the free-function failure guard (rdma.CatchUnreachable).
+func catchFixture(fn func()) {
+	defer func() { _ = recover() }() // free function: no finding
+	fn()
+}
+
+func (f *fan) pass(b *fakeSetBatch) {
+	f.plans = f.plans[:0]
+	f.each(b, (*fakeSetBatch).stage) // method expression: no finding
+
+	f.each(b, func(b *fakeSetBatch, f *fan, g []int) { b.stage(f, g) }) // want `function literal in hot function pass allocates its closure per call`
+
+	sub := make([][]int, len(f.groups)) // want `make in hot function pass allocates per call`
+	_ = sub
+}
+
 // growFixture is the free-function grow idiom: allocation lives outside
 // the swept plan methods, exactly like core's real grow helper.
 func growFixture(b []byte, n int) []byte {

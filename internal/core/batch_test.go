@@ -256,21 +256,103 @@ func TestMDeleteDoorbellBudget(t *testing.T) {
 }
 
 func TestMSetDuplicateKeysLastWriteWins(t *testing.T) {
+	// One writer, nobody to contend with: the key is stored ONCE, with its
+	// last pair — one WRITE, one publishing CAS, no retry (the pairs of one
+	// pass used to race each other for the slot and chase) — while every
+	// pair still counts as a Set and reports the batch's latency.
 	env := sim.NewEnv(2)
 	cl := newTestCluster(env, 1000)
 	env.Go("c", func(p *sim.Proc) {
 		c := cl.NewClient(p)
+		lats := opLatencies(c, OpSet)
+		s0 := cl.MN.Node.Stats
 		c.MSet([]KV{
 			{Key: key(1), Value: value(10)},
 			{Key: key(1), Value: value(20)},
 			{Key: key(1), Value: value(30)},
 		})
+		s1 := cl.MN.Node.Stats
+		// Asynchronous verbs are metadata maintenance; no FAA is due yet,
+		// so every one of them is a WRITE.
+		if s1.FAAs != s0.FAAs {
+			t.Fatalf("%d FAAs: the WRITE count below cannot tell the object WRITE apart", s1.FAAs-s0.FAAs)
+		}
+		writes := (s1.Writes - s0.Writes) - (s1.AsyncOps - s0.AsyncOps)
+		if cas := s1.CASes - s0.CASes; writes != 1 || cas != 1 {
+			t.Errorf("MSet of one key three times issued %d object WRITEs and %d CASes, want 1 and 1", writes, cas)
+		}
+		if c.Stats.SetRetries != 0 || c.Stats.Sets != 3 || len(*lats) != 3 {
+			t.Errorf("retries=%d sets=%d reported=%d, want 0, 3 and 3", c.Stats.SetRetries, c.Stats.Sets, len(*lats))
+		}
 		v, ok := c.Get(key(1))
 		if !ok || !bytes.Equal(v, value(30)) {
 			t.Fatalf("duplicate-key MSet: ok=%v", ok)
 		}
 	})
 	env.Run()
+
+	// The same through MultiClient with hot-key replication on. A replicated
+	// key's pairs are each written through, in pair order (superseded pairs
+	// are dropped by the batched driver, BEHIND the write-through bracket —
+	// replica.go), so every copy ends on the last pair; an unreplicated
+	// key's pairs all register with the bracket but only the last stores.
+	t.Run("routed, with replication", func(t *testing.T) {
+		env := sim.NewEnv(2)
+		mc := NewMultiCluster(env, 4, hotOptions(4000))
+		const threshold = 4
+		mc.EnableHotKeyReplication(1, threshold, 0)
+		env.Go("c", func(p *sim.Proc) {
+			m := mc.NewClient(p)
+			hot := key(1)
+			m.Set(hot, value(1))
+			for i := 0; i < 2*threshold; i++ {
+				m.Get(hot)
+			}
+			e := mc.hot.Lookup(hot)
+			if e == nil {
+				t.Fatalf("%q was not promoted", hot)
+			}
+			// An unreplicated key on a node that holds no copy of the hot
+			// one, so that node's CASes are this key's alone.
+			var cold []byte
+			for i := 2; cold == nil; i++ {
+				if o := mc.OwnerOf(key(i)); o != e.Primary && o != e.Replicas[0] {
+					cold = key(i)
+				}
+			}
+			m.Set(cold, value(2))
+			before := m.Stats()
+			owner := mc.nodes[mc.OwnerOf(cold)].MN.Node
+			cas0 := owner.Stats.CASes
+			m.MSet([]KV{
+				{Key: hot, Value: value(10)}, {Key: cold, Value: value(11)},
+				{Key: hot, Value: value(20)}, {Key: cold, Value: value(21)},
+				{Key: hot, Value: value(30)}, {Key: cold, Value: value(31)},
+			})
+			after := m.Stats()
+			if after.Sets-before.Sets != 6 || after.SetRetries != before.SetRetries {
+				t.Errorf("sets=%d retries=%d, want 6 and 0", after.Sets-before.Sets, after.SetRetries-before.SetRetries)
+			}
+			if d := owner.Stats.CASes - cas0; d != 1 {
+				t.Errorf("the unreplicated key's owner saw %d CASes, want 1", d)
+			}
+			if e = mc.hot.Lookup(hot); e == nil {
+				t.Fatal("entry dissolved by three write-throughs")
+			}
+			for _, id := range append([]int{e.Primary}, e.Replicas...) {
+				if v, ok := m.readQuiet(id, hot); !ok || !bytes.Equal(v, value(30)) {
+					t.Errorf("node %d holds ok=%v %v.., want the last pair on every copy", id, ok, v[:1])
+				}
+			}
+			if v, ok := m.Get(cold); !ok || !bytes.Equal(v, value(31)) {
+				t.Errorf("unreplicated key reads ok=%v, want its last pair", ok)
+			}
+			if n := mc.hot.InflightWrites(cold); n != 0 {
+				t.Errorf("%d write registration(s) left on the unreplicated key", n)
+			}
+		})
+		env.Run()
+	})
 
 	// Two writers in lock step, each batch holding the same key three
 	// times: lost CASes are chased and given-up pairs re-run, and through
@@ -646,4 +728,106 @@ func TestDemotedKeyLatencyCountsTheBatch(t *testing.T) {
 			t.Errorf("the lost CAS cost its batch %d ns, want two rounds (RTT %d ns)", extra, rtt)
 		}
 	})
+}
+
+// TestRoutedBatchRoundBudget pins what a batch over several owners costs:
+// the SLOWEST owner's rounds, not the sum of the owners' pipelines. On a
+// 4-MN pool an all-hit MGet of 64 keys spread over every owner takes the
+// virtual time of two doorbell rounds, an all-update MSet three, an
+// all-present MDelete three — each within the RNIC service time of what the
+// largest owner's group costs run alone — and every memory node still sees
+// exactly one doorbell per round.
+func TestRoutedBatchRoundBudget(t *testing.T) {
+	const n = 64
+	env := sim.NewEnv(17)
+	mc := NewMultiCluster(env, 4, DefaultOptions(4000, 4000*320))
+	rtt := mc.Node(0).MN.Node.Config().RTT
+	env.Go("c", func(p *sim.Proc) {
+		m := mc.NewClient(p)
+		keys, pairs := make([][]byte, n), make([]KV, n)
+		share := map[int][]int{}
+		for i := range keys {
+			keys[i], pairs[i] = key(i), KV{Key: key(i), Value: value(i)}
+			m.Set(keys[i], pairs[i].Value)
+			share[mc.OwnerOf(keys[i])] = append(share[mc.OwnerOf(keys[i])], i)
+		}
+		largest := -1
+		for i := 0; i < mc.NumNodes(); i++ {
+			id := mc.NodeID(i)
+			if len(share[id]) == 0 {
+				t.Fatalf("node %d owns none of the %d keys", id, n)
+			}
+			if largest < 0 || len(share[id]) > len(share[largest]) {
+				largest = id
+			}
+		}
+		aloneKeys, alonePairs := make([][]byte, 0, n), make([]KV, 0, n)
+		for _, i := range share[largest] {
+			aloneKeys, alonePairs = append(aloneKeys, keys[i]), append(alonePairs, pairs[i])
+		}
+		// timed runs op once the fabric is quiet (the previous operation's
+		// asynchronous metadata verbs have drained) and returns its virtual
+		// time and every node's doorbell count.
+		timed := func(op func()) (int64, []int64) {
+			p.Sleep(10 * rtt)
+			bells := make([]int64, mc.NumNodes())
+			for i := range bells {
+				bells[i] = -mc.Node(i).MN.Node.Stats.DoorbellBatches
+			}
+			start := p.Now()
+			op()
+			took := p.Now() - start
+			for i := range bells {
+				bells[i] += mc.Node(i).MN.Node.Stats.DoorbellBatches
+			}
+			return took, bells
+		}
+		check := func(name string, rounds int64, all, alone func()) {
+			t.Helper()
+			took, bells := timed(all)
+			ref, _ := timed(alone)
+			svc := ref - rounds*rtt // the largest group's RNIC service time
+			if svc < 0 {
+				t.Fatalf("%s: the largest group alone took %d ns, less than %d rounds of %d ns", name, ref, rounds, rtt)
+			}
+			if took < rounds*rtt || took > ref+svc {
+				t.Errorf("%s over 4 owners took %d ns; its largest group alone takes %d ns (%d rounds + %d ns of RNIC service)",
+					name, took, ref, rounds, svc)
+			}
+			for i, d := range bells {
+				if d != rounds {
+					t.Errorf("%s rang %d doorbells on node %d, want one per round (%d)", name, d, mc.NodeID(i), rounds)
+				}
+			}
+		}
+		check("MGet(64)", 2,
+			func() {
+				if _, oks := m.MGet(keys); !oks[0] || !oks[n-1] {
+					t.Fatal("loaded key missed")
+				}
+			},
+			func() { m.MGet(aloneKeys) })
+		m.MSet(pairs) // the updates below reuse the blocks this one frees: no allocator RPC in the timed rounds
+		check("MSet(64)", 3, func() { m.MSet(pairs) }, func() { m.MSet(alonePairs) })
+		// Delete the largest group alone first (it is re-stored before the
+		// whole batch is deleted), so both deletes find every key present.
+		refDel, _ := timed(func() { m.MDelete(aloneKeys) })
+		m.MSet(alonePairs)
+		took, bells := timed(func() {
+			for i, ok := range m.MDelete(keys) {
+				if !ok {
+					t.Fatalf("key %d not reported deleted", i)
+				}
+			}
+		})
+		if svc := refDel - 3*rtt; took < 3*rtt || took > refDel+svc {
+			t.Errorf("MDelete(64) over 4 owners took %d ns; its largest group alone takes %d ns", took, refDel)
+		}
+		for i, d := range bells {
+			if d != 3 {
+				t.Errorf("MDelete(64) rang %d doorbells on node %d, want 3", d, mc.NodeID(i))
+			}
+		}
+	})
+	env.Run()
 }

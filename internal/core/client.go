@@ -139,10 +139,12 @@ type Client struct {
 	meta8   [8]byte
 	extMeta cachealgo.Metadata
 
-	// Plan pools and in-flight batch scratch (see pool.go). runOps
-	// carries one M-operation's plans; runEv the eviction batches —
-	// separate because inline eviction can fire while an M-operation's
-	// doorbell round is mid-absorb.
+	// Plan pools and in-flight batch scratch (see pool.go). getPlans,
+	// setPlans and delPlans are this client's share of the batched pass in
+	// flight (batch.go; fan drives it — the client's own, or the
+	// MultiClient's it is a group of); runEv carries the eviction batches —
+	// separate because inline eviction can fire while a pass's doorbell
+	// round is mid-absorb.
 	gets     planPool[getPlan]
 	sets     planPool[setPlan]
 	dels     planPool[delPlan]
@@ -151,10 +153,11 @@ type Client struct {
 	setPlans []*setPlan
 	delPlans []*delPlan
 	evPlans  []*evictPlan
-	runOps   []exec.Plan
 	runEv    []exec.Plan
-	idxAll   []int // the identity index list [0, n) (allIdx)
-	retryIdx []int // the keys/pairs an M-operation's next pass re-runs
+	fan      fan
+	idxAll   []int   // the identity index list [0, n) (solo)
+	retryIdx []int   // the keys/pairs the batch's next pass re-runs
+	dupTab   []int32 // supersede's table over a pass's key hashes
 
 	// Location cache behind one-RTT speculative Gets (nil unless
 	// Options.LocCacheSlots > 0; see internal/loccache). verBase/verSeq
@@ -242,6 +245,7 @@ func (cl *Cluster) NewClient(p *sim.Proc) *Client {
 		}, ep)
 	}
 	c.fc = fccache.New(cl.opts.FCCacheBytes, cl.opts.FCThreshold, c.ht.FAAFreqAsync)
+	c.fan = fan{p: p, db: &c.runner.Doorbell}
 	return c
 }
 
@@ -577,7 +581,7 @@ func (c *Client) store(key, value []byte, pl *setPlan, counted bool, start int64
 		}
 		pl = nil
 		if counted {
-			c.backOff()
+			backOff(c.p)
 		}
 	}
 	return false
@@ -616,7 +620,7 @@ func (c *Client) disarm(pl *setPlan) {
 }
 
 // settle consumes one finished store attempt, shared by the serial
-// driver and mset's passes, and reports whether the pair is stored; one
+// driver and the batched passes, and reports whether the pair is stored; one
 // that is not lost its publishing CAS, and the caller re-runs it.
 //
 // counted is the client-operation flavour: the attempt's chases and its
@@ -642,7 +646,7 @@ func (c *Client) settle(pl *setPlan, counted bool, start int64) bool {
 
 // backOff sleeps the random ≤2 µs a counted store waits before re-running
 // lost attempts.
-func (c *Client) backOff() { c.p.Sleep(c.p.Rand().Int63n(2 * sim.Microsecond)) }
+func backOff(p *sim.Proc) { p.Sleep(p.Rand().Int63n(2 * sim.Microsecond)) }
 
 // allocStallTick is how long a write sleeps per stall round waiting for
 // the background reclaimer (about one eviction RTT chain), and

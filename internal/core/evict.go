@@ -49,8 +49,8 @@ func (c *Client) evictBatch(n int, strat exec.Strategy) int {
 			m = rem
 		}
 		// Pooled plans on the eviction-specific scratch (runEv): inline
-		// eviction can fire while an M-operation's doorbell round is
-		// mid-absorb on runOps, so the two must not share a slice.
+		// eviction can fire while a batched pass's doorbell round is
+		// mid-absorb, so it shares no slice with the pass.
 		plans := c.evPlans[:0]
 		run := c.runEv[:0]
 		for i := 0; i < m; i++ {

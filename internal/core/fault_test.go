@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"ditto/internal/hashtable"
@@ -288,5 +289,125 @@ func TestBatchWriteFailureReleasesRegistrations(t *testing.T) {
 	env.Run()
 	if !recovered {
 		t.Fatal("typed panic never observed")
+	}
+}
+
+// TestNodeFailureUnderFannedOutBatch: a memory node that fail-stops while a
+// three-owner MSet or MGet is between rounds takes its own group with it
+// and nothing else. The live owners' plans absorb and settle as if the dead
+// node had not been in the batch — their pairs are stored and readable,
+// their keys hit — and the dead owner's group is the only thing unknowable:
+// a write raises the typed unavailable error while the pool still routes to
+// the dead node, or is stored again on the keys' new owners once CrashNode
+// has reconfigured it; a read degrades to misses, each counted once. No plan
+// is left with a staged, unpublished block on a live node (allocated =
+// published there, under exact free tracking), and every plan of the pass —
+// the dead group's included — is back in its pool after the unwind.
+func TestNodeFailureUnderFannedOutBatch(t *testing.T) {
+	const n = 24
+	for op, rounds := range map[string]int64{"MSet": 3, "MGet": 2} {
+		for _, reconfigure := range []bool{false, true} {
+			for halfRTTs := int64(1); halfRTTs < 2*rounds; halfRTTs += 2 { // each round in flight, in turn
+				env := sim.NewEnv(6)
+				mc := NewMultiCluster(env, 3, DefaultOptions(3000, 3000*320))
+				for i := 0; i < mc.NumNodes(); i++ {
+					mc.Node(i).MN.EnableFreeTracking()
+				}
+				victim := mc.NodeID(1)
+				rtt := mc.nodes[victim].MN.Node.Config().RTT
+				name := fmt.Sprintf("%s reconfigure=%v fault at %d/2 RTT", op, reconfigure, halfRTTs)
+				env.Go("c", func(p *sim.Proc) {
+					m := mc.NewClient(p)
+					keys, old, fresh := make([][]byte, n), make([]KV, n), make([]KV, n)
+					doomed := make([]bool, n)
+					for i := range keys {
+						keys[i] = key(i)
+						old[i], fresh[i] = KV{Key: keys[i], Value: value(i)}, KV{Key: keys[i], Value: value(100 + i)}
+						doomed[i] = mc.OwnerOf(keys[i]) == victim
+					}
+					// Twice, so the pools hold every plan a pass of this size takes.
+					for r := 0; r < 2; r++ {
+						m.MSet(old)
+						m.MGet(keys)
+					}
+					pooled := func() (total int) {
+						for _, id := range sortedNodeIDs(m.clients) {
+							c := m.clients[id]
+							if len(c.getPlans)+len(c.setPlans)+len(c.delPlans) != 0 {
+								t.Errorf("%s: node %d's client still holds staged plans", name, id)
+							}
+							total += len(c.gets.free) + len(c.sets.free)
+						}
+						return total
+					}
+					plans := pooled()
+					p.Sleep(10 * rtt) // quiet fabric: the rounds below start on time
+					env.Go("fault", func(fp *sim.Proc) {
+						fp.Sleep(halfRTTs * rtt / 2)
+						if reconfigure {
+							mc.CrashNode(victim)
+						} else {
+							mc.nodes[victim].MN.Node.Fail()
+						}
+					})
+					want, start := old, p.Now()
+					if op == "MSet" {
+						err := catchUnavailable(func() { m.MSet(fresh) })
+						if reconfigure && err != nil {
+							t.Errorf("%s: raised %v, want the dead group stored again on its new owners", name, err)
+						}
+						if !reconfigure && !IsUnavailable(err) {
+							t.Errorf("%s: returned %v, want the typed unavailable error", name, err)
+						}
+						want = fresh
+					} else {
+						before := m.Stats()
+						vals, oks := m.MGet(keys)
+						for i := range keys {
+							if !doomed[i] && (!oks[i] || !bytes.Equal(vals[i], old[i].Value)) {
+								t.Errorf("%s: key %d on a live owner: ok=%v", name, i, oks[i])
+							}
+							if doomed[i] && oks[i] && !bytes.Equal(vals[i], old[i].Value) {
+								t.Errorf("%s: key %d read a wrong value off the dying node", name, i)
+							}
+						}
+						if st := m.Stats(); st.Gets-before.Gets != n || st.Hits+st.Misses != st.Gets {
+							t.Errorf("%s: %d keys accounted as %d gets (%d hits + %d misses overall)",
+								name, n, st.Gets-before.Gets, st.Hits, st.Misses)
+						}
+					}
+					if p.Now()-start < 10*rtt {
+						t.Errorf("%s: the batch never waited out a completion timeout: the fault missed it", name)
+					}
+					if got := pooled(); got != plans {
+						t.Errorf("%s: %d plans pooled before the batch, %d after the unwind", name, plans, got)
+					}
+					if !reconfigure {
+						mc.CrashNode(victim) // so the checks below route around it
+					}
+					lost := 0
+					for i := range keys {
+						v, ok := m.Get(keys[i])
+						switch {
+						case ok && bytes.Equal(v, want[i].Value):
+						case doomed[i] && !ok && (op == "MGet" || !reconfigure):
+							lost++ // died with the node, and nobody owed it a re-store
+						default:
+							t.Errorf("%s: key %d (doomed=%v) reads ok=%v afterwards", name, i, doomed[i], ok)
+						}
+					}
+					if lost == 0 && (op == "MGet" || !reconfigure) {
+						t.Errorf("%s: the victim owned nothing; the case proves nothing", name)
+					}
+					for _, id := range mc.order {
+						c := m.clientFor(id)
+						if pub, used := publishedBytes(c), c.cl.MN.UsedBytes; pub != used {
+							t.Errorf("%s: live node %d has %d bytes allocated, %d published", name, id, used, pub)
+						}
+					}
+				})
+				env.Run()
+			}
+		}
 	}
 }

@@ -698,22 +698,39 @@ func (mc *MultiCluster) migrateNode(m *MultiClient, srcID int, inserts *[]migrat
 				plans[j] = newMigratePlan(src, m.clientFor(it.owner), it.s, it.dec)
 				run[j] = plans[j]
 			}
-			m.runner.Doorbell.Run(run)
+			// A node that fail-stops under the batch takes only the plans
+			// that span it (the runner finishes the rest before it raises):
+			// the inserts that did publish are still recorded for the
+			// verification sweep, and the failure goes on to the pass loop.
+			down := rdma.CatchUnreachable(func() { m.runner.Doorbell.Run(run) })
 			for j, pl := range plans {
 				it := batch[j]
 				switch pl.outcome {
+				case migPending:
+					// Dropped where it stood; the next pass revisits the slot.
+					// An insert it had published (its source died under the
+					// delete behind it) stands, and the sweep must cover it.
+					if pl.inserted {
+						mc.noteMoved(inserts, it.owner, pl)
+					}
+					pending++
 				case migMoved:
 					mc.noteMoved(inserts, it.owner, pl)
 					pending++
 				case migSkipped:
 					// Destination already newer; source copy GC'd in-plan.
 				default:
+					if down != nil {
+						pending++ // not now: a retry that raised would cut this bookkeeping short
+						break
+					}
 					// Complication (lost CAS, source changed):
 					// demote this slot to the serial retry path, which
 					// re-reads and redoes the copy from a fresh snapshot.
 					pending += mc.migrateSlot(src, m.clientFor(it.owner), it.owner, it.s, it.dec, inserts)
 				}
 			}
+			raise(down)
 		}
 	}
 	return pending
@@ -829,7 +846,9 @@ func (mc *MultiCluster) ShrinkCache(bytes int) {
 //	→ replicated keys (replica.go): reads spread to a replica; writes
 //	  lock the entry and write through, or register as unreplicated
 //	→ group key indices by owning node (client-owned scratch)
-//	→ run each group on its per-node Client, ascending node order
+//	→ run the groups through the batched driver (fan, batch.go): under
+//	  exec.Doorbell every owner's plans are ONE doorbell pipeline on this
+//	  client's runner, so the batch costs its slowest owner's rounds
 //	→ serve the forwarding window of a reshard in flight
 //	→ re-check the epoch; re-route whatever a ring switch left stale
 //	→ account silent misses / repair raced promotions and unregister
@@ -845,11 +864,14 @@ type MultiClient struct {
 	tenant  TenantID    // bound tenant, propagated to every per-node client
 	promo   []promoCand // hot-key promotion candidates queued by the hit hook
 
-	// runner drives plans that span several per-node clients: replica
-	// fan-outs and the resharder's migration batches. fanSets, fanDels and
-	// fanRun are the replica fan-outs' in-flight plans (from the per-node
-	// clients' pools) — one set suffices, a fan-out never nests another.
+	// runner drives plans that span several per-node clients: the routed
+	// batches (fan: every owner's group of a pass in one Doorbell.Run),
+	// replica fan-outs and the resharder's migration batches. fanSets,
+	// fanDels and fanRun are the replica fan-outs' in-flight plans (from the
+	// per-node clients' pools) — one set suffices, a fan-out never nests
+	// another, nor does a routed batch.
 	runner  exec.Runner
+	fan     fan
 	fanSets []*setPlan
 	fanDels []*delPlan
 	fanRun  []exec.Plan
@@ -883,7 +905,8 @@ type routeScratch struct {
 	// route, an attempt's keys outside / inside a forwarding window, and
 	// the misses no client counted (or groups a ring switch left stale).
 	pend, stable, window, silent []int
-	groups                       [][]int // node ID → key indices of the fan-out being run
+	groups                       [][]int  // node ID → key indices of the fan-out being run
+	keys                         [][]byte // a write's forwarded pairs' keys, for the delete pass behind it
 }
 
 // scratch takes a routeScratch sized for a batch of n keys.
@@ -898,18 +921,21 @@ func (m *MultiClient) scratch(n int) *routeScratch {
 		sc.cur, sc.old = make([]int, n), make([]int, n)
 		sc.pend, sc.stable = make([]int, 0, n), make([]int, 0, n)
 		sc.window, sc.silent = make([]int, 0, n), make([]int, 0, n)
+		sc.keys = make([][]byte, n)
 	}
-	sc.cur, sc.old = sc.cur[:n], sc.old[:n]
+	sc.cur, sc.old, sc.keys = sc.cur[:n], sc.old[:n], sc.keys[:n]
 	return sc
 }
 
 func (m *MultiClient) release(sc *routeScratch) { m.free = append(m.free, sc) }
 
-// group buckets idxs by node[i] into sc.groups. Ranging over sc.groups
-// then visits the nodes in ascending ID order — THE deterministic fan-out
-// order of every pipeline — skipping the empty ones. idxs is fully
-// consumed before group returns, so callers may reuse its storage.
-func (sc *routeScratch) group(idxs, node []int) {
+// fanout buckets idxs by node[i] into sc.groups and aims the client's
+// batched driver at them: one group per node with a key, in ascending
+// node ID order — THE deterministic fan-out order of every pipeline — each
+// with its per-node client (nil when the node has left the pool). epoch is
+// the routing epoch node was derived under. idxs is fully consumed before
+// fanout returns, so callers may reuse its storage.
+func (m *MultiClient) fanout(sc *routeScratch, idxs, node []int, epoch uint64) *fan {
 	for id := range sc.groups {
 		sc.groups[id] = sc.groups[id][:0]
 	}
@@ -920,6 +946,14 @@ func (sc *routeScratch) group(idxs, node []int) {
 		}
 		sc.groups[id] = append(sc.groups[id], i)
 	}
+	f := &m.fan
+	f.epoch, f.err, f.groups = epoch, nil, f.groups[:0]
+	for id, g := range sc.groups {
+		if len(g) > 0 {
+			f.groups = append(f.groups, group{c: m.clientFor(id), node: id, idxs: g, todo: g})
+		}
+	}
+	return f
 }
 
 // NewClient connects process p to every current memory node; connections
@@ -928,6 +962,7 @@ func (sc *routeScratch) group(idxs, node []int) {
 // promotion signal is installed at connection time.
 func (mc *MultiCluster) NewClient(p *sim.Proc) *MultiClient {
 	m := &MultiClient{mc: mc, p: p, clients: make(map[int]*Client)}
+	m.fan = fan{p: p, db: &m.runner.Doorbell, mc: mc}
 	for _, id := range mc.order {
 		m.clients[id] = m.connect(mc.nodes[id])
 	}
@@ -987,7 +1022,8 @@ func (m *MultiClient) Get(key []byte) ([]byte, bool) {
 }
 
 // MGet fetches a batch of keys: each key routes to its ring owner, and
-// every owner serves its whole group with one doorbell-batched MGet.
+// the owners serve their groups as ONE doorbell-batched MGet — one doorbell
+// per owner per round, the rounds shared.
 func (m *MultiClient) MGet(keys [][]byte) ([][]byte, []bool) {
 	vals := make([][]byte, len(keys))
 	oks := make([]bool, len(keys))
@@ -1027,7 +1063,7 @@ func (m *MultiClient) read(keys, vals [][]byte, oks []bool, strat exec.Strategy)
 		}
 		// Keys outside any forwarding window: one counting read per
 		// owner. silent collects the misses no client counted.
-		silent := m.readGroups(sc, stable, sc.cur, keys, vals, oks, false, strat, sc.silent[:0])
+		silent := m.fanout(sc, stable, sc.cur, snap.epoch).mget(strat, keys, vals, oks, false, sc.silent[:0])
 		// Forwarding window: probe with stat-silent reads so a key still
 		// sitting on its old owner does not record a phantom miss on the
 		// new owner for every forwarded hit — new owner, old owner, then
@@ -1039,7 +1075,7 @@ func (m *MultiClient) read(keys, vals [][]byte, oks []bool, strat exec.Strategy)
 			if len(window) == 0 {
 				break
 			}
-			window = m.readGroups(sc, window, node, keys, vals, oks, true, strat, window[:0])
+			window = m.fanout(sc, window, node, snap.epoch).mget(strat, keys, vals, oks, true, window[:0])
 		}
 		silent = append(silent, window...)
 		if m.mc.snap().epoch == snap.epoch || attempt >= routeRetries {
@@ -1064,36 +1100,6 @@ func (m *MultiClient) read(keys, vals [][]byte, oks []bool, strat exec.Strategy)
 		sort.Ints(pend)
 	}
 	m.release(sc)
-}
-
-// readGroups runs one read per node over keys[idxs] grouped by node[i]
-// (counting, or stat-silent probe) and appends to dst the indices that
-// still miss and whose miss no client has counted: every miss of a probe,
-// and for a counting read the groups that could not run. A node that has
-// left the pool runs nothing, and a node fail-stop mid-verb degrades to
-// a miss — the copy the verbs were chasing died with the node, which is
-// what a miss means; the caller's epoch re-check then re-routes
-// (CrashNode bumps the epoch) to the key's surviving owner.
-func (m *MultiClient) readGroups(sc *routeScratch, idxs, node []int, keys, vals [][]byte, oks []bool,
-	probe bool, strat exec.Strategy, dst []int) []int {
-
-	sc.group(idxs, node)
-	for id, g := range sc.groups {
-		if len(g) == 0 {
-			continue
-		}
-		c := m.clientFor(id)
-		ran := c != nil && rdma.CatchUnreachable(func() { c.mget(keys, g, vals, oks, probe, strat) }) == nil
-		if ran && !probe {
-			continue // the owner counted its own misses
-		}
-		for _, i := range g {
-			if !oks[i] {
-				dst = append(dst, i)
-			}
-		}
-	}
-	return dst
 }
 
 // countMiss records one logical Get miss on a surviving client: the
@@ -1147,7 +1153,8 @@ func (m *MultiClient) TrySet(key, value []byte) error {
 	return m.write(m.kv1[:], exec.Serial)
 }
 
-// MSet stores a batch of pairs: one doorbell-batched MSet per owning MN.
+// MSet stores a batch of pairs: the owning MNs' groups as ONE
+// doorbell-batched MSet, each key stored once, with its last pair.
 // Replicated keys are written through one by one first (hot keys are
 // read-heavy by definition, so a batch rarely carries more than a few).
 // Like Set it panics with a typed error when an owner is unusable —
@@ -1203,69 +1210,67 @@ func (m *MultiClient) write(pairs []KV, strat exec.Strategy) error {
 	return first
 }
 
-// writeRouted stores pairs[idxs] on their ring owners, one group per
-// owner. During a reshard the new owner gets the write and any
-// pre-reshard copy on the old owner is deleted behind it, so a later
-// eviction of the fresh value cannot let the resharder resurrect the
-// superseded one. (The resharder's source CAS fails once the old copy is
-// gone, and its insert-if-absent never overwrites the write; a write
-// racing a migrated insert into a different slot may be shadowed until
-// the reshard's verification sweep — see the MultiCluster comment.)
+// writeRouted stores pairs[idxs] on their ring owners, the owners' groups
+// together. During a reshard the new owner gets the write and any
+// pre-reshard copy on the old owner is deleted behind it — one delete pass
+// over the old owners — so a later eviction of the fresh value cannot let
+// the resharder resurrect the superseded one. (The resharder's source CAS
+// fails once the old copy is gone, and its insert-if-absent never
+// overwrites the write; a write racing a migrated insert into a different
+// slot may be shadowed until the reshard's verification sweep — see the
+// MultiCluster comment.)
 //
 // The reshard's straggler-pass safety net assumes a write's routing
-// decision is at most one operation's span stale; a multi-group batch
-// could stretch that arbitrarily, so the epoch is re-checked before each
-// group and whatever a ring switch (or a node fail-stop the pool has
-// already reconfigured around) left unissued is re-routed against the
-// new ring — the residual window is one group's span, the bound a single
-// Set has.
+// decision is at most one operation's span stale, so the driver re-checks
+// the epoch before every pass (fan.moved) and hands back whatever a ring
+// switch — or a node fail-stop the pool has already reconfigured around —
+// left unstored, to be re-routed against the new ring: the residual window
+// of the whole batch is one pass's span, the bound a single Set has.
 func (m *MultiClient) writeRouted(pairs []KV, idxs []int, strat exec.Strategy) {
 	sc := m.scratch(len(pairs))
 	for pend := idxs; len(pend) > 0; {
 		snap := m.mc.snap()
+		window := sc.window[:0]
 		for _, i := range pend {
-			sc.cur[i], sc.old[i] = snap.owner(pairs[i].Key)
+			if sc.cur[i], sc.old[i] = snap.owner(pairs[i].Key); sc.old[i] >= 0 {
+				window = append(window, i)
+			}
 		}
-		sc.group(pend, sc.cur)
-		pend = sc.pend[:0] // the groups a ring switch leaves unissued; idxs stays the caller's
-		for id, g := range sc.groups {
-			if len(g) == 0 {
-				continue
-			}
-			if m.mc.snap().epoch != snap.epoch {
-				pend = append(pend, g...)
-				continue
-			}
-			c := m.clientFor(id)
-			if c == nil {
+		f := m.fanout(sc, pend, sc.cur, snap.epoch)
+		for gi := range f.groups {
+			if g := &f.groups[gi]; g.c == nil {
 				// Reads degrade when a routed owner has no backing node (the
 				// miss is counted on a survivor), but a write has nowhere to
 				// land: the ring and the membership switch atomically, so
 				// this is a corrupted deployment — fail loudly and typed.
-				panic(&NoOwnerError{Node: id})
+				panic(&NoOwnerError{Node: g.node})
 			}
-			if err := rdma.CatchUnreachable(func() { c.mset(pairs, g, strat) }); err != nil {
-				// The owner fail-stopped mid-write; none of this group's
-				// outcomes are knowable. Once CrashNode has re-routed the
-				// key space the group is stored again on its new owners;
-				// until then the failure is the caller's to retry.
-				if m.mc.snap().epoch == snap.epoch {
-					raise(err)
-				}
-				pend = append(pend, g...)
-				continue
+		}
+		pend = f.mset(strat, pairs, sc.pend[:0]) // idxs stays the caller's
+		err := f.err
+		for _, i := range pend {
+			sc.old[i] = -1 // not stored (yet): nothing to clean up behind
+		}
+		stored := window[:0]
+		for _, i := range window {
+			if sc.old[i] >= 0 {
+				stored, sc.keys[i] = append(stored, i), pairs[i].Key
 			}
-			for _, i := range g {
-				if sc.old[i] < 0 {
-					continue
-				}
-				if oc := m.clientFor(sc.old[i]); oc != nil {
-					// A pre-reshard copy on an old owner that fail-stops
-					// mid-delete died with the node — the cleanup's goal is
-					// already met.
-					_ = rdma.CatchUnreachable(func() { oc.Delete(pairs[i].Key) })
-				}
-			}
+		}
+		if len(stored) > 0 {
+			// The cleanup is owed whatever the ring does next, so it runs
+			// under the epoch of the moment. A pre-reshard copy on an old
+			// owner that has left the pool, or fail-stops mid-delete, died
+			// with the node — the cleanup's goal is already met.
+			m.fanout(sc, stored, sc.old, m.mc.snap().epoch).mdelete(strat, sc.keys, nil, nil)
+		}
+		if err != nil && m.mc.snap().epoch == snap.epoch {
+			// An owner fail-stopped mid-write; none of its group's outcomes
+			// are knowable (the live owners' pairs are stored). Once
+			// CrashNode has re-routed the key space the group is stored
+			// again on its new owners; until then the failure is the
+			// caller's to retry.
+			raise(err)
 		}
 	}
 	m.release(sc)
@@ -1286,8 +1291,8 @@ func (m *MultiClient) Delete(key []byte) bool {
 	return m.ok1[0]
 }
 
-// MDelete removes a batch of keys: one doorbell-batched MDelete per
-// owning MN, with Delete's per-key guarantees.
+// MDelete removes a batch of keys: the owning MNs' groups as ONE
+// doorbell-batched MDelete, with Delete's per-key guarantees.
 func (m *MultiClient) MDelete(keys [][]byte) []bool {
 	out := make([]bool, len(keys))
 	raise(m.remove(keys, out, exec.Doorbell))
@@ -1320,16 +1325,16 @@ func (m *MultiClient) remove(keys [][]byte, out []bool, strat exec.Strategy) err
 }
 
 // removeRouted clears every key on its ring owner. During a reshard both
-// owners are cleared, old copy first, batched per old owner — that
+// owners are cleared, old copy first, one batched pass per side — that
 // ordering, combined with the resharder's verify-then-undo CAS
 // discipline, ensures a racing migration cannot durably resurrect the
 // deleted key (the dead value may flicker back for the few verb round
 // trips between the resharder's insert and its undo, but never outlives
-// the reshard). Like writes, the epoch is re-checked before each group:
-// after a ring switch every unissued routing decision is stale, so the
-// keys whose current-owner delete has not run re-route — otherwise a key
-// migrated to a new owner between routing and issue would survive its
-// own deletion (re-clearing an old copy is idempotent).
+// the reshard). Like writes, the epoch is re-checked before each pass
+// (fan.moved): after a ring switch every unissued routing decision is
+// stale, so the keys whose current-owner delete has not run re-route —
+// otherwise a key migrated to a new owner between routing and issue would
+// survive its own deletion (re-clearing an old copy is idempotent).
 func (m *MultiClient) removeRouted(keys [][]byte, out []bool, strat exec.Strategy) {
 	sc := m.scratch(len(keys))
 	pend := sc.pend[:0]
@@ -1345,41 +1350,19 @@ func (m *MultiClient) removeRouted(keys [][]byte, out []bool, strat exec.Strateg
 				window = append(window, i)
 			}
 		}
-		if stale := m.removeGroups(sc, snap, window, sc.old, keys, out, strat, sc.silent[:0]); len(stale) > 0 {
+		if stale := m.fanout(sc, window, sc.old, snap.epoch).mdelete(strat, keys, out, sc.silent[:0]); len(stale) > 0 {
 			continue // nothing reached a current owner yet: re-route it all
 		}
-		pend = m.removeGroups(sc, snap, pend, sc.cur, keys, out, strat, pend[:0])
+		pend = m.fanout(sc, pend, sc.cur, snap.epoch).mdelete(strat, keys, out, pend[:0])
 	}
 	m.release(sc)
-}
-
-// removeGroups runs one delete per node over keys[idxs] grouped by
-// node[i], and appends to dst the groups a ring switch since snap left
-// unissued. A node that left the pool has nothing to clear, and one that
-// fail-stops mid-delete achieves the deletion by dying: its copy is gone
-// either way, so the unreachable error degrades to "nothing was there".
-func (m *MultiClient) removeGroups(sc *routeScratch, snap *routeSnapshot, idxs, node []int, keys [][]byte,
-	out []bool, strat exec.Strategy, dst []int) []int {
-
-	sc.group(idxs, node)
-	for id, g := range sc.groups {
-		if len(g) == 0 {
-			continue
-		}
-		if m.mc.snap().epoch != snap.epoch {
-			dst = append(dst, g...)
-		} else if c := m.clientFor(id); c != nil {
-			_ = rdma.CatchUnreachable(func() { c.mdelete(keys, g, out, strat) })
-		}
-	}
-	return dst
 }
 
 // sortedNodeIDs returns a node-keyed map's IDs in ascending order — the
 // one deterministic-iteration helper for maps that may hold departed
 // nodes (Close, Stats, the resharder's free-list surrender over
 // connected clients). The operation fan-outs themselves group by node ID
-// into a slice (routeScratch.group) instead of sorting per call.
+// into a slice (MultiClient.fanout) instead of sorting per call.
 func sortedNodeIDs[V any](m map[int]V) []int {
 	ids := make([]int, 0, len(m))
 	//dittolint:allow simdet (this helper IS the sanctioned pattern: the keys are sorted before any caller iterates them)

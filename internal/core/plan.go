@@ -457,6 +457,9 @@ const (
 	setDone    // published; migrate mode: insert survived the sweep
 	setCASLost // publish CAS lost a race; staged object freed
 	setPresent // migrate mode: key already present, or our copy yielded
+	// setSuperseded: never run — a later pair of the same MSet stores the
+	// key (setBatch.stage, batch.go).
+	setSuperseded
 )
 
 // publish modes.
@@ -1449,7 +1452,8 @@ func (pl *evictPlan) finishWin() {
 
 // migratePlan outcomes.
 const (
-	migMoved    = iota // insert published, survived the sweep, source removed
+	migPending  = iota // not finished: still running, or dropped by a run a node failed under
+	migMoved           // insert published, survived the sweep, source removed
 	migSkipped         // destination copy was newer (or ours yielded); source removal was GC
 	migRetry           // the source slot changed under the copy: re-read and redo
 	migFallback        // destination complication (lost CAS): retry the slot

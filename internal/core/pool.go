@@ -16,14 +16,16 @@ package core
 //     that may alias its buffers — the decoded value views, the scanned
 //     slots, the history matches. Under doorbell execution an identical
 //     READ is issued once and fanned out, so one plan's result can alias
-//     ANOTHER plan's buffer; batch drivers therefore put their plans
-//     back only after the whole batch's outputs are consumed.
+//     ANOTHER plan's buffer — of the same endpoint, so of the same
+//     client; the batched driver therefore puts a client's plans back
+//     only after all of that client's outputs of the pass are consumed.
 //  2. reset draws a plan's randomness in the same order a fresh plan
 //     would (see evictPlan.reset), so pooling is invisible to the
 //     deterministic simulation.
 //
-// A plan that is never put back (a driver unwound by a node failure, the
-// resharder's migrate plans) is simply garbage: the pool holds no
+// A plan that is never put back (a driver unwound by a panic that is not
+// a node failure — those the batched driver survives, and unstages — or
+// the resharder's migrate plans) is simply garbage: the pool holds no
 // reference to plans in flight.
 
 // planPool is a free list of finished plans of one type. get hands out a
@@ -42,6 +44,12 @@ func (p *planPool[T]) get() *T {
 }
 
 func (p *planPool[T]) put(pl *T) { p.free = append(p.free, pl) }
+
+// putAll puts a driver's list of finished plans back and returns it emptied.
+func (p *planPool[T]) putAll(pls []*T) []*T {
+	p.free = append(p.free, pls...)
+	return pls[:0]
+}
 
 // grow returns buf resized to n bytes, reusing its capacity when it
 // suffices. The contents are unspecified — callers must fully overwrite

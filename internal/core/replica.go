@@ -300,7 +300,7 @@ func (m *MultiClient) spread(sc *routeScratch, pend []int, keys, vals [][]byte, 
 	}
 	if len(targets) > 0 {
 		routed := len(pend)
-		pend = m.readGroups(sc, targets, sc.cur, keys, vals, oks, true, strat, pend)
+		pend = m.fanout(sc, targets, sc.cur, m.mc.snap().epoch).mget(strat, keys, vals, oks, true, pend)
 		m.mc.SpreadReads += int64(len(targets) - (len(pend) - routed))
 	}
 	return pend
@@ -337,6 +337,16 @@ func (m *MultiClient) spreadTarget(key []byte) int {
 // the same scheduling slice as the entry's absence, so a promotion
 // published later provably sees the registration and comes up warming),
 // and the caller closes the bracket with endWrite after its routed verbs.
+//
+// An MSet carrying several pairs of one key opens the bracket for EVERY
+// pair, in pair order: a replicated key's pairs are each written through
+// (so every copy ends on the last), an unreplicated key's pairs each
+// register. The pairs a later pair of the same key supersedes are dropped
+// only BEHIND the bracket, by the batched driver that stores the routed
+// rest (setBatch.stage, batch.go: such a pair issues no verb), and endWrite
+// still closes one registration per pair — dropping them before it would
+// need the key comparison twice and buy nothing: hot keys are read-heavy,
+// a batch rarely carries one twice.
 //
 // An entry is dissolved rather than written through when the operation
 // is a remove (replicas are invalidated under the entry lock BEFORE the

@@ -252,7 +252,8 @@ type readKey struct {
 
 // dbPending is one plan's share of a pooled doorbell round: its verbs
 // occupy slots [lo, hi) of the runner's slot arena. Ranges (not
-// subslices) because the arena may grow while later plans append.
+// subslices) because the arena may grow while later plans append. A plan
+// the round drops (see DoorbellRunner) is nil.
 type dbPending struct {
 	plan   Plan
 	lo, hi int
@@ -271,6 +272,16 @@ type dbPending struct {
 // verbs. Identical READs across plans are issued once; WRITE/CAS/FAA are
 // never deduplicated.
 //
+// A node that fail-stops under a run takes only its own plans with it.
+// The fabric applies the live endpoints' batches and fills their
+// completions before it raises (rdma.PostMultiInPlace), so a plan whose
+// group went to live nodes only absorbs and keeps running; a plan with a
+// verb on the dead endpoint — or whose own Step or Absorb reached the dead
+// node through a nested verb — is dropped where it stands, unabsorbed. The
+// run finishes every surviving plan and THEN raises the first
+// *rdma.NodeUnreachableError: a caller that recovers it finds each plan
+// either complete or belonging to a node that is down.
+//
 // Every piece of round state — the active set, the per-endpoint batches
 // and their result slices, the slot arena, the post list — is retained
 // across runs, so a steady-state round allocates nothing (results land
@@ -287,6 +298,7 @@ type DoorbellRunner struct {
 	posts   []rdma.EndpointBatch
 	slots   []slot
 	res     []Result
+	down    *rdma.NodeUnreachableError // first node failure of the run in flight
 }
 
 // Run drives the plans to completion.
@@ -303,6 +315,7 @@ func (r *DoorbellRunner) Run(plans []Plan) {
 		//dittolint:allow hotalloc (once-per-runner lazy init, not per call)
 		r.batches = make(map[*rdma.Endpoint]*epBatch)
 	}
+	r.down = nil
 	r.active = append(r.active[:0], plans...)
 	active := r.active
 	for len(active) > 0 {
@@ -311,33 +324,8 @@ func (r *DoorbellRunner) Run(plans []Plan) {
 		r.freeEB = append(r.freeEB, r.order...)
 		r.order = r.order[:0]
 		clear(r.batches)
-		next := active[:0]
-		for _, p := range active {
-			vs := p.Step(true)
-			if len(vs) == 0 {
-				continue // plan finished
-			}
-			lo := len(r.slots)
-			for _, v := range vs {
-				b := r.batches[v.EP]
-				if b == nil {
-					b = r.getEpBatch(v.EP)
-					r.batches[v.EP] = b
-					r.order = append(r.order, b)
-				}
-				if v.Op.Kind == rdma.BatchRead {
-					k := readKey{addr: v.Op.Addr, len: v.Op.Len}
-					if j, seen := b.reads[k]; seen {
-						r.slots = append(r.slots, slot{ep: v.EP, idx: j})
-						continue
-					}
-					b.reads[k] = len(b.ops)
-				}
-				r.slots = append(r.slots, slot{ep: v.EP, idx: len(b.ops)})
-				b.ops = append(b.ops, v.Op)
-			}
-			r.round = append(r.round, dbPending{plan: p, lo: lo, hi: len(r.slots)})
-			next = append(next, p)
+		for i := 0; i < len(active); {
+			i = r.gather(active, i)
 		}
 		if len(r.round) == 0 {
 			break
@@ -346,19 +334,19 @@ func (r *DoorbellRunner) Run(plans []Plan) {
 		for _, b := range r.order {
 			r.posts = append(r.posts, rdma.EndpointBatch{EP: b.ep, Ops: b.ops, Res: b.res[:0]})
 		}
-		rdma.PostMultiInPlace(r.posts)
+		r.post()
 		for i, b := range r.order {
-			b.res = r.posts[i].Res
+			b.res = r.posts[i].Res // nil: the endpoint's node is down
 		}
+		for i := 0; i < len(r.round); {
+			i = r.scatter(i)
+		}
+		active = active[:0]
 		for _, pd := range r.round {
-			res := r.res[:0]
-			for _, s := range r.slots[pd.lo:pd.hi] {
-				res = append(res, r.batches[s.ep].res[s.idx])
+			if pd.plan != nil {
+				active = append(active, pd.plan)
 			}
-			pd.plan.Absorb(res)
-			r.res = res[:0]
 		}
-		active = next
 	}
 	// Drop plan references so finished plans are not pinned by the
 	// runner between operations (they go back to the caller's pool).
@@ -367,6 +355,106 @@ func (r *DoorbellRunner) Run(plans []Plan) {
 	for i := range r.round {
 		r.round[i].plan = nil
 	}
+	if r.down != nil {
+		//dittolint:allow typederr (re-raising the fabric's own typed failure once the surviving plans are complete)
+		panic(r.down)
+	}
+}
+
+// caught is what the round's three phases defer around their plan calls
+// and the post: it turns a recovered node failure into the run's pending
+// one and reports true; any other panic keeps unwinding.
+func (r *DoorbellRunner) caught(rec any) bool {
+	if rec == nil {
+		return false
+	}
+	down, ok := rec.(*rdma.NodeUnreachableError)
+	if !ok {
+		//dittolint:allow typederr (not ours: re-raised untouched)
+		panic(rec)
+	}
+	if r.down == nil {
+		r.down = down
+	}
+	return true
+}
+
+// gather steps active[i:] into the round and returns where to resume: past
+// the end, or past a plan whose Step raised a node failure (dropped).
+func (r *DoorbellRunner) gather(active []Plan, i int) (resume int) {
+	//dittolint:allow hotalloc (open-coded deferred closure, stack-allocated)
+	defer func() {
+		if r.caught(recover()) {
+			resume = i + 1
+		}
+	}()
+	for ; i < len(active); i++ {
+		p := active[i]
+		vs := p.Step(true)
+		if len(vs) == 0 {
+			continue // plan finished
+		}
+		lo := len(r.slots)
+		for _, v := range vs {
+			b := r.batches[v.EP]
+			if b == nil {
+				b = r.getEpBatch(v.EP)
+				r.batches[v.EP] = b
+				r.order = append(r.order, b)
+			}
+			if v.Op.Kind == rdma.BatchRead {
+				k := readKey{addr: v.Op.Addr, len: v.Op.Len}
+				if j, seen := b.reads[k]; seen {
+					r.slots = append(r.slots, slot{ep: v.EP, idx: j})
+					continue
+				}
+				b.reads[k] = len(b.ops)
+			}
+			r.slots = append(r.slots, slot{ep: v.EP, idx: len(b.ops)})
+			b.ops = append(b.ops, v.Op)
+		}
+		r.round = append(r.round, dbPending{plan: p, lo: lo, hi: len(r.slots)})
+	}
+	return i
+}
+
+// post rings the round's doorbells. A node failure leaves the dead
+// endpoint's completions nil and every live one's filled.
+func (r *DoorbellRunner) post() {
+	//dittolint:allow hotalloc (open-coded deferred closure, stack-allocated)
+	defer func() { r.caught(recover()) }()
+	rdma.PostMultiInPlace(r.posts)
+}
+
+// scatter hands round[i:] their completions and returns where to resume,
+// as gather does. A plan with a verb on a dead endpoint is dropped
+// unabsorbed; so is one whose Absorb raised a node failure.
+func (r *DoorbellRunner) scatter(i int) (resume int) {
+	//dittolint:allow hotalloc (open-coded deferred closure, stack-allocated)
+	defer func() {
+		if r.caught(recover()) {
+			r.round[i].plan = nil
+			resume = i + 1
+		}
+	}()
+	for ; i < len(r.round); i++ {
+		pd := &r.round[i]
+		res, live := r.res[:0], true
+		for _, s := range r.slots[pd.lo:pd.hi] {
+			b := r.batches[s.ep]
+			if live = b.res != nil; !live {
+				break
+			}
+			res = append(res, b.res[s.idx])
+		}
+		r.res = res[:0]
+		if !live {
+			pd.plan = nil
+			continue
+		}
+		pd.plan.Absorb(res)
+	}
+	return i
 }
 
 // getEpBatch recycles an endpoint batch from the free list or makes one.

@@ -342,3 +342,78 @@ func TestDoorbellReentrantRun(t *testing.T) {
 	})
 	env.Run()
 }
+
+// nestedVerbPlan issues a synchronous verb from inside its first Absorb —
+// the shape of a Set whose staging falls into an inline eviction.
+type nestedVerbPlan struct {
+	scriptPlan
+	ep *rdma.Endpoint
+}
+
+func (p *nestedVerbPlan) Absorb(res []Result) {
+	p.scriptPlan.Absorb(res)
+	if len(p.got) == 1 {
+		p.ep.Read(0, 8)
+	}
+}
+
+// TestDoorbellNodeFailureTakesOnlyItsPlans: a node that fail-stops under a
+// run takes its own plans with it and nobody else's. The fabric applies the
+// live endpoint's batch before it raises, so a plan whose verbs went to the
+// live node absorbs every group and runs to completion; a plan with a verb
+// on the dead endpoint is dropped unabsorbed, as is one whose own Absorb
+// reached the dead node through a nested verb — its sibling on the live
+// node, later in the same round, still absorbs. The run raises the typed
+// failure only once the survivors are done, and the runner is reusable.
+func TestDoorbellNodeFailureTakesOnlyItsPlans(t *testing.T) {
+	for _, nested := range []bool{false, true} {
+		env := sim.NewEnv(9)
+		a, b := testNode(env), testNode(env)
+		copy(a.Mem()[0:], "alive")
+		env.Go("c", func(p *sim.Proc) {
+			epA, epB := rdma.NewEndpoint(a, p), rdma.NewEndpoint(b, p)
+			live := func() *scriptPlan {
+				return &scriptPlan{stopAt: -1, groups: [][]Verb{
+					{read(epA, 0, 5)}, {cas(epA, 8, 0, 7)}, {read(epA, 8, 8)},
+				}}
+			}
+			before, after := live(), live()
+			after.groups[1] = []Verb{cas(epA, 16, 0, 9)}
+			dead := &nestedVerbPlan{ep: epB, scriptPlan: scriptPlan{stopAt: -1, groups: [][]Verb{
+				{read(epB, 0, 8)}, {read(epB, 8, 8)},
+			}}}
+			if !nested {
+				// Fail-stop while round 1 is in flight: B's batch never applies.
+				env.Go("fault", func(fp *sim.Proc) { fp.Sleep(b.Config().RTT / 2); b.Fail() })
+			} else {
+				// Fail-stop while the plan's nested verb is in flight, after
+				// round 1 completed on both nodes.
+				env.Go("fault", func(fp *sim.Proc) { fp.Sleep(b.Config().RTT * 3 / 2); b.Fail() })
+			}
+			var r Runner
+			err := rdma.CatchUnreachable(func() { r.Doorbell.Run([]Plan{before, dead, after}) })
+			if !rdma.IsUnreachable(err) {
+				t.Fatalf("nested=%v: run over a failed node returned %v, want the typed failure", nested, err)
+			}
+			for name, pl := range map[string]*scriptPlan{"before": before, "after": after} {
+				if len(pl.got) != 3 || !bytes.Equal(pl.got[0][0].Data, []byte("alive")) || !pl.got[1][0].Swapped {
+					t.Errorf("nested=%v: live plan %q absorbed %v, want all three groups", nested, name, pl.got)
+				}
+			}
+			if want := map[bool]int{false: 0, true: 1}[nested]; len(dead.got) != want {
+				t.Errorf("nested=%v: the dead node's plan absorbed %d groups, want %d", nested, len(dead.got), want)
+			}
+			if a.Uint64At(8) != 7 || a.Uint64At(16) != 9 {
+				t.Errorf("nested=%v: live node holds %d/%d, want both CASes applied", nested, a.Uint64At(8), a.Uint64At(16))
+			}
+			// Reusable, and the failure does not stick to the next run.
+			again := live()
+			again.groups = again.groups[:1]
+			r.Doorbell.Run([]Plan{again})
+			if len(again.got) != 1 {
+				t.Errorf("nested=%v: runner unusable after a failed run", nested)
+			}
+		})
+		env.Run()
+	}
+}
