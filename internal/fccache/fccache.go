@@ -11,8 +11,6 @@
 // which case the entry with the earliest insert time is flushed.
 package fccache
 
-import "container/heap"
-
 // FlushFunc applies a combined delta to the remote counter at addr
 // (typically hashtable.Handle.FAAFreqAsync). The cache guarantees every
 // buffered increment is handed to exactly one FlushFunc call — no delta
@@ -31,34 +29,16 @@ const entryOverhead = 24
 // permanently cold to LFU-family experts sampling the remote counters.
 const DefaultMaxLag = 48
 
+// entry is one buffered counter. Entries sit on an intrusive circular
+// list in insertion order: insertAt is the monotone access counter, so
+// the list's front is always the entry with the earliest insert time and
+// any entry unlinks in O(1). A linked entry has non-nil prev and next.
 type entry struct {
-	addr     uint64
-	delta    uint64
-	insertAt int64
-	bytes    int
-	index    int // heap index
-}
-
-type entryHeap []*entry
-
-func (h entryHeap) Len() int           { return len(h) }
-func (h entryHeap) Less(i, j int) bool { return h[i].insertAt < h[j].insertAt }
-func (h entryHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *entryHeap) Push(x interface{}) {
-	e := x.(*entry)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *entryHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	addr       uint64
+	delta      uint64
+	insertAt   int64
+	bytes      int
+	prev, next *entry
 }
 
 // Cache is one client's FC cache. It is not safe for concurrent use; each
@@ -75,7 +55,7 @@ type Cache struct {
 	maxLag        int64
 	flush         FlushFunc
 	entries       map[uint64]*entry
-	order         entryHeap
+	order         entry    // list sentinel: order.next is the oldest entry, order.prev the newest
 	free          []*entry // recycled entries: steady-state Add/evict churn allocates nothing
 	usedBytes     int
 	seq           int64
@@ -91,13 +71,34 @@ func New(capacityBytes int, threshold uint64, flush FlushFunc) *Cache {
 	if threshold < 1 {
 		threshold = 1
 	}
-	return &Cache{
+	c := &Cache{
 		capacityBytes: capacityBytes,
 		threshold:     threshold,
 		maxLag:        DefaultMaxLag,
 		flush:         flush,
 		entries:       make(map[uint64]*entry),
 	}
+	c.order.prev, c.order.next = &c.order, &c.order
+	return c
+}
+
+// oldest returns the entry with the earliest insert time, or nil when
+// nothing is buffered.
+func (c *Cache) oldest() *entry {
+	if e := c.order.next; e != &c.order {
+		return e
+	}
+	return nil
+}
+
+// remove unlinks a buffered entry from the list and the index and
+// recycles it; the caller has already copied out what it needs.
+func (c *Cache) remove(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+	delete(c.entries, e.addr)
+	c.usedBytes -= e.bytes
+	c.free = append(c.free, e)
 }
 
 // SetMaxLag overrides the age bound (in subsequent Add operations) after
@@ -146,34 +147,30 @@ func (c *Cache) Add(addr uint64, idBytes int) {
 		e = &entry{addr: addr, delta: 1, insertAt: c.seq, bytes: idBytes + entryOverhead}
 	}
 	c.entries[addr] = e
-	heap.Push(&c.order, e)
+	tail := c.order.prev
+	e.prev, e.next = tail, &c.order
+	tail.next, c.order.prev = e, e
 	c.usedBytes += e.bytes
-	for c.usedBytes > c.capacityBytes && len(c.order) > 0 {
-		c.evict(c.order[0]) // earliest insert time
+	for o := c.oldest(); o != nil && c.usedBytes > c.capacityBytes; o = c.oldest() {
+		c.evict(o)
 	}
-	if e.delta >= c.threshold {
+	if e.next != nil && e.delta >= c.threshold { // still buffered: the capacity loop may have flushed e itself
 		c.evict(e)
 	}
 	// Age-based flush: entries buffered for more than maxLag accesses are
 	// pushed out so remote counters stay fresh.
 	if c.maxLag > 0 {
-		for len(c.order) > 0 && c.seq-c.order[0].insertAt > c.maxLag {
-			c.evict(c.order[0])
+		for o := c.oldest(); o != nil && c.seq-o.insertAt > c.maxLag; o = c.oldest() {
+			c.evict(o)
 		}
 	}
 }
 
-// evict flushes one entry's combined delta with a single FAA.
+// evict flushes one buffered entry's combined delta with a single FAA.
 func (c *Cache) evict(e *entry) {
-	if _, live := c.entries[e.addr]; !live {
-		return
-	}
-	heap.Remove(&c.order, e.index)
-	delete(c.entries, e.addr)
-	c.usedBytes -= e.bytes
-	c.Flushes++
 	addr, delta := e.addr, e.delta
-	c.free = append(c.free, e)
+	c.remove(e)
+	c.Flushes++
 	c.flush(addr, delta)
 }
 
@@ -182,8 +179,8 @@ func (c *Cache) evict(e *entry) {
 // PendingDelta are 0 for every address: the remote counters hold the
 // complete count.
 func (c *Cache) FlushAll() {
-	for len(c.order) > 0 {
-		c.evict(c.order[0])
+	for o := c.oldest(); o != nil; o = c.oldest() {
+		c.evict(o)
 	}
 }
 
@@ -205,9 +202,6 @@ func (c *Cache) PendingDelta(addr uint64) uint64 {
 // the old object's hits).
 func (c *Cache) Forget(addr uint64) {
 	if e, ok := c.entries[addr]; ok {
-		heap.Remove(&c.order, e.index)
-		delete(c.entries, addr)
-		c.usedBytes -= e.bytes
-		c.free = append(c.free, e)
+		c.remove(e)
 	}
 }

@@ -1,6 +1,9 @@
 package fccache
 
 import (
+	"container/heap"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -158,5 +161,171 @@ func TestPerAddressConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// heapCache is the min-heap implementation the insertion-order list
+// replaced, kept verbatim (minus the entry free list and the counters)
+// as the reference for flush order: which entry leaves, with what delta,
+// and when.
+type heapCache struct {
+	capacityBytes int
+	threshold     uint64
+	maxLag        int64
+	flush         FlushFunc
+	entries       map[uint64]*heapEntry
+	order         entryHeap
+	usedBytes     int
+	seq           int64
+}
+
+type heapEntry struct {
+	addr     uint64
+	delta    uint64
+	insertAt int64
+	bytes    int
+	index    int
+}
+
+type entryHeap []*heapEntry
+
+func (h entryHeap) Len() int           { return len(h) }
+func (h entryHeap) Less(i, j int) bool { return h[i].insertAt < h[j].insertAt }
+func (h entryHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+func (h *entryHeap) Push(x interface{}) {
+	e := x.(*heapEntry)
+	e.index = len(*h)
+	*h = append(*h, e)
+}
+func (h *entryHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	*h = old[:n-1]
+	return e
+}
+
+func (c *heapCache) Add(addr uint64, idBytes int) {
+	c.seq++
+	if c.capacityBytes <= 0 {
+		c.flush(addr, 1)
+		return
+	}
+	if e, ok := c.entries[addr]; ok {
+		e.delta++
+		if e.delta >= c.threshold {
+			c.evict(e)
+		}
+		return
+	}
+	e := &heapEntry{addr: addr, delta: 1, insertAt: c.seq, bytes: idBytes + entryOverhead}
+	c.entries[addr] = e
+	heap.Push(&c.order, e)
+	c.usedBytes += e.bytes
+	for c.usedBytes > c.capacityBytes && len(c.order) > 0 {
+		c.evict(c.order[0])
+	}
+	if e.delta >= c.threshold {
+		c.evict(e)
+	}
+	if c.maxLag > 0 {
+		for len(c.order) > 0 && c.seq-c.order[0].insertAt > c.maxLag {
+			c.evict(c.order[0])
+		}
+	}
+}
+
+func (c *heapCache) evict(e *heapEntry) {
+	if _, live := c.entries[e.addr]; !live {
+		return
+	}
+	heap.Remove(&c.order, e.index)
+	delete(c.entries, e.addr)
+	c.usedBytes -= e.bytes
+	c.flush(e.addr, e.delta)
+}
+
+func (c *heapCache) FlushAll() {
+	for len(c.order) > 0 {
+		c.evict(c.order[0])
+	}
+}
+
+func (c *heapCache) Forget(addr uint64) {
+	if e, ok := c.entries[addr]; ok {
+		heap.Remove(&c.order, e.index)
+		delete(c.entries, addr)
+		c.usedBytes -= e.bytes
+	}
+}
+
+// flushEvent is one line of a flush transcript: after how many
+// operations of the replayed sequence the FAA left, and what it carried.
+type flushEvent struct {
+	op          int
+	addr, delta uint64
+}
+
+// TestFlushOrderMatchesHeap replays seeded random Add/Forget/FlushAll
+// sequences, over capacities from "disabled" to "never full", thresholds
+// from 1 up and every age bound, against the heap reference and
+// requires identical flush transcripts and identical observable state
+// (Len, UsedBytes, PendingDelta) after every operation.
+func TestFlushOrderMatchesHeap(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := []int{0, 20, 40, 200, 1000, 1 << 20}[rng.Intn(6)]
+		threshold := uint64(1 + rng.Intn(12))
+		maxLag := []int64{0, 1, 5, DefaultMaxLag}[rng.Intn(4)]
+		addrs := uint64(1 + rng.Intn(60))
+
+		var op int
+		var got, want []flushEvent
+		c := New(capacity, threshold, func(a, d uint64) { got = append(got, flushEvent{op, a, d}) })
+		c.SetMaxLag(maxLag)
+		ref := &heapCache{
+			capacityBytes: capacity, threshold: threshold, maxLag: maxLag,
+			flush:   func(a, d uint64) { want = append(want, flushEvent{op, a, d}) },
+			entries: map[uint64]*heapEntry{},
+		}
+		for op = 0; op < 600; op++ {
+			addr := rng.Uint64() % addrs
+			switch r := rng.Intn(100); {
+			case r < 85:
+				idBytes := 8 + rng.Intn(32)
+				c.Add(addr, idBytes)
+				ref.Add(addr, idBytes)
+			case r < 98:
+				c.Forget(addr)
+				ref.Forget(addr)
+			default:
+				c.FlushAll()
+				ref.FlushAll()
+			}
+			if c.Len() != len(ref.entries) || c.UsedBytes() != ref.usedBytes {
+				t.Fatalf("seed %d op %d: Len/UsedBytes = %d/%d, heap reference %d/%d",
+					seed, op, c.Len(), c.UsedBytes(), len(ref.entries), ref.usedBytes)
+			}
+			var pending uint64
+			if e, ok := ref.entries[addr]; ok {
+				pending = e.delta
+			}
+			if d := c.PendingDelta(addr); d != pending {
+				t.Fatalf("seed %d op %d: PendingDelta(%d) = %d, heap reference %d", seed, op, addr, d, pending)
+			}
+		}
+		c.FlushAll()
+		ref.FlushAll()
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d (cap %d, t %d, lag %d): flush transcript differs from the heap reference\n got %v\nwant %v",
+				seed, capacity, threshold, maxLag, got, want)
+		}
+		if int64(len(got)) != c.Flushes {
+			t.Fatalf("seed %d: Flushes = %d, transcript has %d", seed, c.Flushes, len(got))
+		}
 	}
 }

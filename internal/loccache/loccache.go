@@ -12,13 +12,20 @@
 // nothing in the system ever needs to find or update another client's
 // cache.
 //
+// For the same reason the cache stores no key at all: entries are indexed
+// by the key's 64-bit FNV-1a hash, and two keys that collide simply share
+// one entry. The loser of a collision reads the other key's block, and the
+// read path's inline key check rejects it exactly as it rejects any stale
+// hint. What that buys is an index of machine words and a Record of a new
+// key that copies and allocates nothing.
+//
 // The cache is zero-lock by construction, not by cleverness: it is owned
 // by exactly one core.Client, which the simulation (like the paper's
 // one-client-per-core model) runs in a single process, so reads and
 // writes need no synchronization at all. The hot paths are also
-// allocation-free at steady state: Lookup and a Record that refreshes an
-// existing key compile to non-allocating map accesses; only the first
-// Record of a new key allocates (its interned key string).
+// allocation-free: Lookup, Drop and Record are a hash of the key and
+// map accesses on a uint64; only growth of the index and the arena up to
+// their fixed capacity allocates.
 //
 // Bounded by a CLOCK (second-chance) policy over a fixed entry arena:
 // Lookup marks the entry referenced, and an insert past capacity sweeps
@@ -49,19 +56,19 @@ type Hint struct {
 	Freq     uint64
 }
 
-// entry is one arena slot: the interned key, its hint, and the CLOCK
-// reference bit.
+// entry is one arena slot: the key's hash (what evict removes from the
+// index), its hint, and the CLOCK reference bit.
 type entry struct {
-	key string
-	h   Hint
-	ref bool
+	hash uint64
+	h    Hint
+	ref  bool
 }
 
 // Cache is the bounded location cache. The zero value is not usable;
 // construct with New.
 type Cache struct {
 	capacity int
-	idx      map[string]int32
+	idx      map[uint64]int32 // key hash → arena slot
 	ents     []entry
 	free     []int32 // arena slots vacated by Drop, reused before eviction
 	hand     int     // CLOCK hand over the arena
@@ -75,15 +82,26 @@ func New(capacity int) *Cache {
 	}
 	return &Cache{
 		capacity: capacity,
-		idx:      make(map[string]int32, capacity),
+		idx:      make(map[uint64]int32, capacity),
 		ents:     make([]entry, 0, capacity),
 	}
+}
+
+// keyHash is 64-bit FNV-1a (hash/fnv's values, inlined: its constructor
+// allocates, and this package imports nothing).
+func keyHash(key []byte) uint64 {
+	v := uint64(14695981039346656037)
+	for _, b := range key {
+		v ^= uint64(b)
+		v *= 1099511628211
+	}
+	return v
 }
 
 // Lookup returns the hint recorded for key, marking the entry recently
 // used. Allocation-free.
 func (c *Cache) Lookup(key []byte) (Hint, bool) {
-	i, ok := c.idx[string(key)]
+	i, ok := c.idx[keyHash(key)]
 	if !ok {
 		return Hint{}, false
 	}
@@ -92,11 +110,11 @@ func (c *Cache) Lookup(key []byte) (Hint, bool) {
 	return e.h, true
 }
 
-// Record stores (or refreshes) the hint for key. Refreshing an existing
-// key is allocation-free; a new key interns its string and may evict the
-// CLOCK victim when the cache is full.
+// Record stores (or refreshes) the hint for key. Allocation-free; a new
+// key may evict the CLOCK victim when the cache is full.
 func (c *Cache) Record(key []byte, h Hint) {
-	if i, ok := c.idx[string(key)]; ok {
+	kh := keyHash(key)
+	if i, ok := c.idx[kh]; ok {
 		e := &c.ents[i]
 		e.h = h
 		e.ref = true
@@ -113,10 +131,10 @@ func (c *Cache) Record(key []byte, h Hint) {
 		i = c.evict()
 	}
 	e := &c.ents[i]
-	e.key = string(key)
+	e.hash = kh
 	e.h = h
 	e.ref = true
-	c.idx[e.key] = i
+	c.idx[kh] = i
 }
 
 // evict advances the CLOCK hand to the first unreferenced entry,
@@ -132,7 +150,7 @@ func (c *Cache) evict() int32 {
 			continue
 		}
 		i := int32(c.hand)
-		delete(c.idx, e.key)
+		delete(c.idx, e.hash)
 		c.hand = (c.hand + 1) % len(c.ents)
 		return i
 	}
@@ -144,11 +162,12 @@ func (c *Cache) evict() int32 {
 // found no copy to re-record, so the next Get goes straight to the bucket
 // walk.
 func (c *Cache) Drop(key []byte) {
-	i, ok := c.idx[string(key)]
+	kh := keyHash(key)
+	i, ok := c.idx[kh]
 	if !ok {
 		return
 	}
-	delete(c.idx, string(key))
+	delete(c.idx, kh)
 	c.ents[i] = entry{}
 	c.free = append(c.free, i)
 }

@@ -2,6 +2,7 @@ package loccache
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 )
 
@@ -84,8 +85,8 @@ func TestDropAndReuse(t *testing.T) {
 	}
 }
 
-// TestLookupAllocFree pins the zero-allocation contract of the
-// steady-state hot path: Lookup and a refreshing Record.
+// TestLookupAllocFree pins the zero-allocation contract of the hot
+// path: Lookup and a refreshing Record.
 func TestLookupAllocFree(t *testing.T) {
 	c := New(16)
 	k := key(1)
@@ -97,5 +98,45 @@ func TestLookupAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Lookup+refresh Record = %v allocs/op; want 0", allocs)
+	}
+}
+
+// TestNewKeyAllocFree pins what storing no key buys: on a full cache,
+// recording a key never seen before (evicting the CLOCK victim) and
+// dropping it again allocate nothing.
+func TestNewKeyAllocFree(t *testing.T) {
+	const capacity = 16
+	c := New(capacity)
+	keys := make([][]byte, 1024)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	for _, k := range keys[:capacity] {
+		c.Record(k, hint(1))
+	}
+	next := capacity
+	allocs := testing.AllocsPerRun(200, func() {
+		c.Record(keys[next], hint(next))
+		c.Record(keys[next+1], hint(next+1))
+		c.Drop(keys[next])
+		next += 2
+	})
+	if allocs != 0 {
+		t.Fatalf("Record of new keys + Drop = %v allocs/op; want 0", allocs)
+	}
+	if c.Len() > capacity {
+		t.Fatalf("Len = %d exceeds capacity %d", c.Len(), capacity)
+	}
+}
+
+// TestKeyHashIsFNV1a pins the index hash to hash/fnv's 64-bit FNV-1a, so
+// the package comment's collision claim is about a known function.
+func TestKeyHashIsFNV1a(t *testing.T) {
+	for _, in := range [][]byte{nil, []byte("a"), []byte("foobar"), key(123456)} {
+		h := fnv.New64a()
+		h.Write(in)
+		if got, want := keyHash(in), h.Sum64(); got != want {
+			t.Errorf("keyHash(%q) = %#x; hash/fnv says %#x", in, got, want)
+		}
 	}
 }

@@ -8,11 +8,17 @@
 // shared virtual clock one event at a time, and Resource models k-server
 // FIFO queueing in virtual time.
 //
-// Exactly one process runs at any instant; processes hand control back to
-// the scheduler whenever they sleep, wait, or finish. Interleaving therefore
-// happens at event boundaries, which is precisely the granularity at which
-// remote verbs (READ/WRITE/CAS/FAA) interleave on real disaggregated
-// memory. The model is fully deterministic for a fixed seed.
+// Exactly one process runs at any instant, and there is no scheduler
+// goroutine: a process that sleeps, waits or finishes pops the next
+// event off the heap itself, in (t, seq) order, and hands control
+// straight to that event's owner (Env.next, Proc.yield). When the next
+// event is its own — a lone client, or the only one due — it simply
+// keeps running: no goroutine switch at all. Run's goroutine starts the
+// first process and then sleeps until the heap drains or Stop is called.
+// Interleaving therefore happens at event boundaries, which is precisely
+// the granularity at which remote verbs (READ/WRITE/CAS/FAA) interleave
+// on real disaggregated memory. The model is fully deterministic for a
+// fixed seed.
 package sim
 
 import (
@@ -104,13 +110,15 @@ type Env struct {
 	now     int64
 	seq     uint64
 	events  eventHeap
-	sched   chan struct{} // processes signal the scheduler here after yielding
+	sched   chan struct{} // wakes Run's goroutine: the heap drained, or Stop was called
 	running int           // live (started, unfinished) processes
 	nextID  int
 	seed    int64
 	stopped bool
 	procs   []*Proc // every registered process, in Go order (for FindProc)
 	cur     *Proc   // the process executing right now (self-Kill guard)
+
+	handoffs uint64 // proc-to-proc goroutine switches (read by the package's tests)
 }
 
 // NewEnv returns an environment at virtual time zero. The seed determines
@@ -125,10 +133,13 @@ func NewEnv(seed int64) *Env {
 // Now returns the current virtual time in nanoseconds.
 func (e *Env) Now() int64 { return e.now }
 
-// Stop makes Run return after the currently running process yields.
-// Remaining events are discarded. Processes blocked in Sleep or Wait never
-// resume; their goroutines are abandoned (acceptable for one-shot
-// experiment runs, which always terminate the whole environment).
+// Stop makes Run return after the currently running process yields: that
+// process, finding the flag set, wakes Run's goroutine instead of the next
+// event's owner. Pending events stay on the heap and processes blocked in
+// Sleep or Wait stay parked on their resume channels, so a later Run
+// continues the timeline where it stopped; if Run is never called again
+// their goroutines are abandoned (acceptable for one-shot experiment
+// runs, which always terminate the whole environment).
 func (e *Env) Stop() { e.stopped = true }
 
 func (e *Env) push(t int64, p *Proc) {
@@ -207,14 +218,14 @@ func (e *Env) GoAt(t int64, name string, fn func(p *Proc)) *Proc {
 	e.running++
 	e.procs = append(e.procs, p)
 	go func() {
-		// The final yield is deferred so the scheduler survives a process
+		// The final handoff is deferred so the simulation survives a process
 		// that exits via runtime.Goexit (e.g. t.Fatal inside a test body).
 		defer func() {
 			p.done = true
 			e.running--
-			e.sched <- struct{}{}
+			e.handoff(e.next())
 		}()
-		<-p.resume // wait for the scheduler to start us
+		<-p.resume // wait for our first event to be dispatched
 		fn(p)
 	}()
 	e.push(t, p)
@@ -224,8 +235,24 @@ func (e *Env) GoAt(t int64, name string, fn func(p *Proc)) *Proc {
 // Run executes events until none remain or Stop is called. It must be
 // called from the goroutine that owns the Env (typically the test or
 // benchmark body). Run may be called repeatedly; later Go calls followed by
-// Run continue the same timeline.
+// Run continue the same timeline. Run only dispatches the first event:
+// from then on each yielding or finishing process pops the heap and wakes
+// the next one itself, and the last of them wakes Run.
 func (e *Env) Run() {
+	if p := e.next(); p != nil {
+		p.resume <- struct{}{}
+		<-e.sched
+	}
+	e.stopped = false
+}
+
+// next pops the event to dispatch, in (t, seq) order, advances the clock
+// to it and makes its owner the current process. Wake-ups of finished or
+// killed processes are stale and skipped. It returns nil, with no current
+// process, when the heap is empty or Stop was called: control then
+// belongs to Run's goroutine. Whoever holds control calls it — Run once,
+// then every yielding or finishing process.
+func (e *Env) next() *Proc {
 	for len(e.events) > 0 && !e.stopped {
 		ev := e.events.pop()
 		if ev.p.done {
@@ -236,18 +263,29 @@ func (e *Env) Run() {
 		}
 		e.now = ev.t
 		e.cur = ev.p
-		ev.p.resume <- struct{}{}
-		<-e.sched
-		e.cur = nil
+		return ev.p
 	}
-	e.stopped = false
+	e.cur = nil
+	return nil
+}
+
+// handoff passes control from the calling process to p, the process next
+// just made current, or to Run's goroutine when p is nil. The caller must
+// touch no simulation state afterwards until it is itself resumed.
+func (e *Env) handoff(p *Proc) {
+	if p == nil {
+		e.sched <- struct{}{}
+		return
+	}
+	e.handoffs++
+	p.resume <- struct{}{}
 }
 
 // Kill removes process p from the simulation immediately: a fail-stop
 // crash at the current virtual time. p never runs again — its pending
 // wake-ups are discarded, condition variables that would wake it skip it,
-// and its goroutine is abandoned exactly as Stop abandons blocked
-// processes (acceptable for one-shot experiment runs). p's OnCrash hooks
+// and its goroutine stays parked on a resume channel nobody will send on
+// (abandoned, acceptable for one-shot experiment runs). p's OnCrash hooks
 // run LIFO in the caller's scheduling slice before Kill returns, so
 // supervisors can respawn replacements with a consistent view of the
 // crash instant. Killing a finished or already-killed process is a no-op;
@@ -283,9 +321,16 @@ func (e *Env) FindProc(name string) *Proc {
 	return nil
 }
 
-// yield returns control to the scheduler and blocks until resumed.
+// yield gives up control until one of p's own events is dispatched. p
+// dispatches the next event itself: if that event is p's, yield returns
+// without any goroutine switch; otherwise p wakes the event's owner (or
+// Run, at drain or Stop) and parks until some later yielder wakes it.
 func (p *Proc) yield() {
-	p.env.sched <- struct{}{}
+	next := p.env.next()
+	if next == p {
+		return
+	}
+	p.env.handoff(next)
 	<-p.resume
 }
 
